@@ -19,7 +19,7 @@ without scanning the whole graph.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator, Mapping
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Set as AbstractSet
 
 from repro.errors import GraphError
 
@@ -251,6 +251,18 @@ class Graph:
     def nodes_with_label(self, label: str) -> set[str]:
         """All node ids carrying exactly ``label``."""
         return set(self._by_label.get(label, ()))
+
+    def label_row(self, label: str | None) -> AbstractSet[str]:
+        """The live node-id set for one label — **read-only**.
+
+        The copyless counterpart of :meth:`nodes_with_label`, in the
+        style of :meth:`out_row`.  ``None`` is the wildcard row: a live
+        view of every node id, O(1) to take and intersected in
+        O(other operand) by ``&``.
+        """
+        if label is None:
+            return self._nodes.keys()
+        return self._by_label.get(label, _EMPTY_ROW)
 
     @property
     def labels(self) -> set[str]:

@@ -18,12 +18,11 @@ compatibility wrapper over the plan-compiled core of
 version, index-attachment) into a :class:`~repro.matching.plan.MatchPlan`
 over an interned CSR :class:`~repro.matching.view.GraphView`, and every
 call executes the cached plan.  Calls that bring their own candidate
-pools (the streaming delta kernel's pattern-radius balls) run the same
-executor view-free over those pools.  Either way the yielded stream —
-``dict[variable, node_id]`` matches, deterministic order — is byte-
-identical to the historical recursive enumerator, which is preserved
-below as :func:`seed_find_homomorphisms` (the differential-test oracle
-and benchmark baseline).
+pools run the same executor view-free over those pools.  Either way
+the yielded stream — ``dict[variable, node_id]`` matches,
+deterministic order — is byte-identical to the historical recursive
+enumerator, which is preserved below as :func:`seed_find_homomorphisms`
+(the differential-test oracle and benchmark baseline).
 """
 
 from __future__ import annotations
@@ -67,9 +66,9 @@ def find_homomorphisms(
     candidates:
         optional precomputed :func:`~repro.matching.candidates.candidate_sets`
         result for exactly this (pattern, graph) pair, as produced by a
-        caller that scopes the search itself (the streaming delta
-        kernel's pattern-radius balls).  The mapping is not mutated,
-        and the search runs view-free over exactly these pools.
+        caller that scopes the search itself.  The mapping is not
+        mutated, and the search runs view-free over exactly these
+        pools.
     """
     from repro.matching.plan import compile_plan, execute_over_pools
 

@@ -37,9 +37,9 @@ them on the fragment equals enumerating them on the whole graph — the
 equivalence the fragment backend's byte-identity tests assert.  Pivots
 failing the rule are *escalated* to a coordinator-side whole-graph pass.
 
-These helpers grew out of the streaming delta kernel (which still
-re-exports them from :mod:`repro.streaming.delta`); they now sit in the
-matching layer because fragment-local validation needs them too.
+These helpers grew out of the streaming delta kernel; they sit in the
+matching layer because fragment-local validation and the fragment delta
+router decide locality with them.
 """
 
 from __future__ import annotations

@@ -49,17 +49,19 @@ inverted index and the executor intersects them in before the search.
 
 :func:`execute_over_pools` is the view-free twin for callers that bring
 their own candidate pools over a *mutating* graph (the streaming delta
-kernel's pattern-radius balls): same program cache, same executor, but
-adjacency rows come straight from the graph's internal per-label sets,
-so no O(|G|) view build is paid per batch.
+kernel's pinned live label rows): same step programs, same executor,
+the binding order memoized per (pattern, effective pool sizes), and
+adjacency rows straight from the graph's internal per-label sets, so
+no O(|G|) view build is paid per batch.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Set as AbstractSet
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 
 from repro.errors import PatternError
 from repro.graph.graph import Graph
@@ -119,9 +121,8 @@ class PlanStep:
 
 @lru_cache(maxsize=4096)
 def _steps_for(pattern: Pattern, order: tuple[str, ...]) -> tuple[PlanStep, ...]:
-    """The step list for one binding order (cached — this is the plan
-    cache the streaming delta kernel hits once per dependency, not once
-    per pinned node)."""
+    """The step list for one binding order (cached per pattern and
+    order; view-bound plans and :func:`_pool_program` share it)."""
     depth_of = {variable: depth for depth, variable in enumerate(order)}
     steps: list[PlanStep] = []
     for depth, variable in enumerate(order):
@@ -236,7 +237,10 @@ def _execute(order, steps, pools_sorted, pools_set, row_set, to_id, limit, obser
                     return _EMPTY
                 operands.append(row)
             operands.sort(key=len)
-            found = operands[0].intersection(*operands[1:])
+            # ``&`` rather than ``.intersection``: a pool may be a live
+            # dict-keys view (pool mode's wildcard row), which ``&``
+            # intersects in O(other operand) instead of iterating.
+            found = reduce(and_, operands)
             if step.self_loops:
                 loops = step.self_loops
                 found = [
@@ -609,10 +613,30 @@ def _adjacency_rows(graph: Graph):
     return row_set
 
 
+@lru_cache(maxsize=512)
+def _pool_program(
+    pattern: Pattern, sizes: tuple[int, ...]
+) -> tuple[tuple[str, ...], tuple[PlanStep, ...], tuple[str, ...]]:
+    """Pool mode's binding order, step list and scanned variables for
+    one ``(pattern, effective pool sizes)`` — ``sizes`` in
+    ``pattern.variables`` order.
+
+    The order is a pure function of the sizes, so a caller that runs
+    the same pattern over pools of the same sizes many times (the
+    streaming delta kernel: one call per pinned node) ranks the
+    variables once instead of once per call.  Label-pool sizes drift
+    as a streamed graph grows, so entries mostly serve one batch; the
+    small bound lets the stale ones age out.
+    """
+    order = tuple(order_for_sizes(pattern, dict(zip(pattern.variables, sizes))))
+    steps = _steps_for(pattern, order)
+    return order, steps, tuple(step.variable for step in steps if not step.checks)
+
+
 def execute_over_pools(
     pattern: Pattern,
     graph: Graph,
-    candidates: Mapping[str, "set[str]"],
+    candidates: Mapping[str, "AbstractSet[str]"],
     fixed: Mapping[str, str] | None = None,
     restrict: Mapping[str, "set[str] | frozenset[str]"] | None = None,
     limit: int | None = None,
@@ -620,20 +644,23 @@ def execute_over_pools(
     """Run the plan executor over caller-supplied candidate pools.
 
     This is the view-free path: no interning, no O(|G|) build — the
-    pattern program comes from the shared :func:`_steps_for` cache and
-    adjacency rows from the graph's own indexes.  The streaming delta
-    kernel uses it with pattern-radius ball pools so per-batch work
-    stays proportional to the update's neighborhood.
+    binding order and pattern program come from the
+    :func:`_pool_program` memo and adjacency rows from the graph's own
+    indexes.  Pools are read, never mutated or copied: only the ones
+    ``restrict`` / ``fixed`` narrow are replaced, and only the pools
+    the executor scans (steps with no edge check) are sorted.  A pool
+    may therefore be a live graph set — the streaming delta kernel
+    passes :meth:`~repro.graph.graph.Graph.label_row` sets and pins
+    one variable per call, so its per-batch work stays proportional
+    to the update's neighborhood.
     """
-    fixed = dict(fixed) if fixed else {}
+    fixed = fixed or {}
     for variable, node_id in fixed.items():
         if not pattern.has_variable(variable):
             raise PatternError(f"fixed variable {variable!r} is not in the pattern")
         if not graph.has_node(node_id):
             raise PatternError(f"fixed image {node_id!r} is not a node of the graph")
-    pools: dict[str, set] = {
-        variable: set(candidates[variable]) for variable in pattern.variables
-    }
+    pools = {variable: candidates[variable] for variable in pattern.variables}
     if restrict:
         for variable, pool in restrict.items():
             if not pattern.has_variable(variable):
@@ -643,10 +670,9 @@ def execute_over_pools(
         if node_id not in pools[variable]:
             return  # The pinned node can never host this variable.
         pools[variable] = {node_id}
-    sizes = {variable: len(pool) for variable, pool in pools.items()}
-    order = tuple(order_for_sizes(pattern, sizes))
-    steps = _steps_for(pattern, order)
-    pools_sorted = {variable: tuple(sorted(pool)) for variable, pool in pools.items()}
+    # ``pools`` is keyed in ``pattern.variables`` order.
+    order, steps, scanned = _pool_program(pattern, tuple(map(len, pools.values())))
+    pools_sorted = {variable: sorted(pools[variable]) for variable in scanned}
     sink = _metrics.sink()
     if not sink.enabled:
         yield from _execute(
@@ -670,8 +696,9 @@ def execute_over_pools(
 
 
 def program_cache_info():
-    """Hit/miss counters of the pattern-program cache (tests/stats)."""
-    return _steps_for.cache_info()
+    """Hit/miss counters of pool mode's order/program memo
+    (:func:`_pool_program`, consulted by every pool-mode run)."""
+    return _pool_program.cache_info()
 
 
 __all__ = [

@@ -57,7 +57,12 @@ from repro.graph.graph import Graph
 from repro.indexing.registry import get_index
 from repro.matching.homomorphism import find_homomorphisms
 from repro.matching.locality import pivot_radius, split_local_pivots
-from repro.reasoning.validation import Violation, evaluate_match, x_literal_restrictions
+from repro.reasoning.validation import (
+    Violation,
+    evaluate_match,
+    sigma_groups,
+    x_literal_restrictions,
+)
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import slowlog as _slowlog
 from repro.telemetry.spans import span
@@ -201,23 +206,9 @@ def _run_sigma_batch(
     dag = compile_sigma(graph, [ged.pattern for ged in sigma])
     # Rules grouped by (pattern, restriction) share one query — and,
     # when no restriction applies, the DAG's cached whole-set trie.
-    group_index: dict = {}
-    queries: list[SigmaQuery] = []
-    members: list[list[int]] = []
-    for position, ged in enumerate(sigma):
-        restrict = x_literal_restrictions(graph, ged)
-        key = (
-            ged.pattern,
-            None
-            if restrict is None
-            else frozenset((var, frozenset(pool)) for var, pool in restrict.items()),
-        )
-        group = group_index.get(key)
-        if group is None:
-            group = group_index[key] = len(queries)
-            queries.append(SigmaQuery(ged.pattern, restrict=restrict))
-            members.append([])
-        members[group].append(position)
+    groups = sigma_groups(graph, sigma)
+    queries = [SigmaQuery(pattern, restrict=restrict) for pattern, restrict, _ in groups]
+    members = [positions for _, _, positions in groups]
     buckets: list[list[Violation]] = [[] for _ in sigma]
     match_counts = [0] * len(sigma)
     for group, match in dag.iter_matches(queries):

@@ -34,6 +34,7 @@ from repro.graph.graph import Graph
 from repro.indexing.registry import get_index
 from repro.matching.plan import compile_plan
 from repro.matching.sigma_dag import SigmaQuery, compile_sigma
+from repro.patterns.pattern import Pattern
 from repro.telemetry.spans import span
 
 
@@ -176,24 +177,20 @@ def find_violations(
     return violations
 
 
-def _sigma_find_violations(graph: Graph, sigma: "list[GED]") -> list[Violation]:
-    """The Σ-batched full scan: one shared-DAG walk, per-rule buckets.
+def sigma_groups(
+    graph: Graph, sigma: "Sequence[GED]"
+) -> list[tuple[Pattern, dict[str, set[str]] | None, list[int]]]:
+    """Σ grouped by (pattern, X-restriction), in first-appearance order.
 
-    Rules are grouped by (pattern, restriction): literal variants over
-    one skeleton share a *single* query — the DAG enumerates their
-    common stream once and each emitted match is evaluated against
-    every rule in the group.  (With no index attached every restriction
-    is ``None``, so the query set collapses to the DAG's deduplicated
-    pattern tuple and the walk reuses the cached whole-set trie.)
-    Matches arrive interleaved across groups, so violations are
-    bucketed per rule and concatenated in Σ order — the exact output of
-    the per-rule loop, because each rule's match subsequence is its
-    solo stream.
+    Each group is ``(pattern, restrict, member positions)``: literal
+    variants over one skeleton whose
+    :func:`x_literal_restrictions` agree enumerate the same matches, so
+    every consumer that walks Σ — the full Σ scan, the serial shard
+    batch and the streaming delta kernel — enumerates once per group
+    and evaluates each member rule off that one stream.  ``pattern`` and
+    ``restrict`` are the first member's.
     """
-    dag = compile_sigma(graph, [ged.pattern for ged in sigma])
-    group_index: dict = {}
-    queries: list[SigmaQuery] = []
-    members: list[list[int]] = []  # query position -> rule positions
+    groups: dict = {}
     for position, ged in enumerate(sigma):
         restrict = x_literal_restrictions(graph, ged)
         key = (
@@ -202,12 +199,31 @@ def _sigma_find_violations(graph: Graph, sigma: "list[GED]") -> list[Violation]:
             if restrict is None
             else frozenset((var, frozenset(pool)) for var, pool in restrict.items()),
         )
-        group = group_index.get(key)
+        group = groups.get(key)
         if group is None:
-            group = group_index[key] = len(queries)
-            queries.append(SigmaQuery(ged.pattern, restrict=restrict))
-            members.append([])
-        members[group].append(position)
+            group = groups[key] = (ged.pattern, restrict, [])
+        group[2].append(position)
+    return list(groups.values())
+
+
+def _sigma_find_violations(graph: Graph, sigma: "list[GED]") -> list[Violation]:
+    """The Σ-batched full scan: one shared-DAG walk, per-rule buckets.
+
+    Rules are grouped by (pattern, restriction) (:func:`sigma_groups`):
+    literal variants over one skeleton share a *single* query — the DAG
+    enumerates their common stream once and each emitted match is
+    evaluated against every rule in the group.  (With no index attached
+    every restriction is ``None``, so the query set collapses to the
+    DAG's deduplicated pattern tuple and the walk reuses the cached
+    whole-set trie.)  Matches arrive interleaved across groups, so
+    violations are bucketed per rule and concatenated in Σ order — the
+    exact output of the per-rule loop, because each rule's match
+    subsequence is its solo stream.
+    """
+    dag = compile_sigma(graph, [ged.pattern for ged in sigma])
+    groups = sigma_groups(graph, sigma)
+    queries = [SigmaQuery(pattern, restrict=restrict) for pattern, restrict, _ in groups]
+    members = [positions for _, _, positions in groups]
     buckets: list[list[Violation]] = [[] for _ in sigma]
     with span("validate.sigma", rules=len(sigma)):
         for group, match in dag.iter_matches(queries):

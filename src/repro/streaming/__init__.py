@@ -13,8 +13,9 @@ changing data:
   emits an exact :class:`StreamDelta` (introduced / retired / updated)
   while staying byte-identical to a from-scratch
   :func:`~repro.reasoning.validation.find_violations` of the final graph;
-* :mod:`repro.streaming.delta` — the kernel: pivot-pinned matching
-  restricted to a pattern-radius ball around the batch's touched nodes,
+* :mod:`repro.streaming.delta` — the kernel: Σ grouped by skeleton,
+  each touched node pinned once per group and enumerated along the
+  pattern's own edges (so the search stays in its neighborhood),
   quick-rejected through the index's 1-hop neighborhood signatures;
 * :mod:`repro.streaming.parallel` — :class:`EngineDeltaExecutor`, which
   shards changed-node pivots over a warm :mod:`repro.engine` pool whose
@@ -45,12 +46,7 @@ Typical use::
         publish(delta.to_dict())
 """
 
-from repro.streaming.delta import (
-    ball_levels,
-    delta_violations,
-    pattern_distances,
-    pattern_radius,
-)
+from repro.streaming.delta import delta_violations
 from repro.streaming.fragments import FragmentDeltaRouter
 from repro.streaming.ledger import (
     StreamDelta,
@@ -65,10 +61,7 @@ __all__ = [
     "FragmentDeltaRouter",
     "StreamDelta",
     "ViolationLedger",
-    "ball_levels",
     "canonical_report",
     "delta_violations",
-    "pattern_distances",
-    "pattern_radius",
     "violation_to_dict",
 ]

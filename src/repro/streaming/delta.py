@@ -5,47 +5,49 @@ image of its match: additions only create matches through the new
 elements, deletions only destroy matches or change literal values at
 the deleted element's node.  The kernel therefore pins each pattern
 variable to each touched node in turn — but unlike the one-shot
-:func:`repro.reasoning.incremental.incremental_violations`, it never
-hands the matcher whole-graph candidate pools.  Each pin searches only a
-**pattern-radius ball** around the pinned node:
+:func:`repro.reasoning.incremental.incremental_violations`, a pinned
+search never strays from the pinned node's neighborhood:
 
-* pattern distances — for variables u, w in the same weakly connected
-  component of Q, any match sends their images to nodes within
-  undirected graph distance ``dist_Q(u, w)`` of each other (every
-  pattern edge maps to a graph edge), so w's pool is the ball of that
-  radius around the pinned node, filtered by ``≼`` on labels;
-* variables in *other* components of Q are unconstrained by the pin and
-  keep their label pools (computed once per dependency, not per pin);
+* **locality comes from the pattern's edges** — every pattern edge maps
+  to a graph edge, and the pinned variable's pool has one node, so the
+  executor's smallest-pool-first order opens the pin's weakly connected
+  component with it (or with another pool of at most one node) and
+  binds every other variable of that component through an edge check
+  against an already-bound image.  Every match pinned at v therefore
+  already lies in the pattern-radius ball around v, and those variables
+  need only their label filter: the graph's live label row
+  (:meth:`~repro.graph.graph.Graph.label_row`, no copy — the wildcard
+  row is a live view of every node id, which the executor's ``&``
+  intersects in O(adjacency row));
+* variables in *other* components of Q are unconstrained by the pin
+  and are scanned over the same label rows;
 * with a synced :mod:`repro.indexing` index attached, a pin is
   dropped before any search when the node's 1-hop neighborhood
   signature cannot admit the variable's pattern edges
   (:meth:`~repro.indexing.pruning.CandidatePruner.admissible`), and the
   X-literal restriction pools of
-  :func:`~repro.reasoning.validation.x_literal_restrictions` shrink the
-  search further.
+  :func:`~repro.reasoning.validation.x_literal_restrictions` narrow the
+  label rows further.
 
 All of these are necessary conditions, so the kernel finds exactly the
 violations whose match meets the touched set — work proportional to the
 update's neighborhood, not to |G|.
 
-Each pin runs the plan executor **view-free** over its ball pools
-(:func:`~repro.matching.plan.execute_over_pools`): the compiled pattern
-program is cached per dependency (the ``_steps_for`` cache keyed by
-``(pattern, order)``, alongside the memoized :func:`pattern_distances`),
-so plan compilation is paid once per dependency, not once per pinned
-node or per batch — and, crucially, no O(|G|) graph-view build is paid
-on a graph that mutates every batch.
+Each pin runs the plan executor **view-free**
+(:func:`~repro.matching.plan.execute_over_pools`): the binding order and
+step program are memoized per (pattern, effective pool sizes), so they
+are derived once, not once per pinned node — and no O(|G|) graph-view
+build is paid on a graph that mutates every batch.
 
-Σ-sharing rides the same observation as :mod:`repro.matching.sigma_dag`:
-rule sets are families of literal variants over few distinct skeletons,
-so within one batch the *pin streams* — the matches of (pattern,
-pinned variable, pinned node) under a given restriction — repeat
-across dependencies verbatim.  The kernel memoizes each stream the
-first time it is enumerated and replays it for every later dependency
-sharing the skeleton, skipping the ball construction and the plan walk
-entirely (``matching.sigma.stream_reuse`` counts the replays).
-Per-dependency de-duplication applies after replay, so reported
-violations are untouched.
+**Σ grouping** rides the same observation as
+:mod:`repro.matching.sigma_dag`: rule sets are families of literal
+variants over few distinct skeletons.  The kernel groups Σ by (pattern,
+X-restriction) — :func:`~repro.reasoning.validation.sigma_groups`, the
+grouping the full Σ scan uses — enumerates each (pinned variable,
+touched node) once per group, and evaluates every member rule off that
+one stream (``matching.sigma.stream_reuse`` counts the further rules
+each enumeration serves).  A per-group ``seen`` set reports a match
+that meets several touched nodes once.
 """
 
 from __future__ import annotations
@@ -55,32 +57,14 @@ from collections.abc import Iterable, Sequence
 from repro.deps.ged import GED
 from repro.graph.graph import Graph
 from repro.indexing.registry import get_index
-from repro.matching.locality import ball_levels, pattern_distances, pattern_radius
 from repro.matching.plan import execute_over_pools
-from repro.patterns.labels import WILDCARD, matches
-from repro.reasoning.validation import (
-    Violation,
-    evaluate_match,
-    x_literal_restrictions,
-)
+from repro.patterns.labels import WILDCARD
+from repro.reasoning.validation import Violation, evaluate_match, sigma_groups
 from repro.telemetry import metrics as _metrics
 
 #: A found violation, tagged with its dependency's position in Σ (the
 #: ledger's key space; positions disambiguate equal rules).
 TaggedViolation = tuple[int, Violation]
-
-
-def _label_pool(graph: Graph, label: str) -> set[str]:
-    if label == WILDCARD:
-        return set(graph.node_ids)
-    return graph.nodes_with_label(label)
-
-
-def _restrict_token(restrict: dict[str, set[str]] | None):
-    """A hashable identity for a restriction mapping (stream memo key)."""
-    if restrict is None:
-        return None
-    return frozenset((var, frozenset(pool)) for var, pool in restrict.items())
 
 
 def delta_violations(
@@ -92,11 +76,11 @@ def delta_violations(
 
     ``graph`` must already have the update applied; touched ids that no
     longer exist (deletions) are skipped — they cannot host matches.
-    Deterministic: dependencies in Σ order, pinned nodes sorted, the
-    matcher's own enumeration order within each pin; duplicates (one
-    match meeting several touched nodes) are reported once, and the
-    per-dependency de-duplication works across calls only through the
-    ledger (each call stands alone).
+    Deterministic: Σ groups in first-appearance order, pinned nodes
+    sorted, the matcher's own enumeration order within each pin, member
+    rules in Σ order per match; duplicates (one match meeting several
+    touched nodes) are reported once, and de-duplication works across
+    calls only through the ledger (each call stands alone).
     """
     live = sorted(node_id for node_id in set(touched) if graph.has_node(node_id))
     if not live:
@@ -108,78 +92,39 @@ def delta_violations(
 
         pruner = CandidatePruner(graph, index)
 
-    radius = max((pattern_radius(ged.pattern) for ged in sigma), default=0)
-    balls: dict[str, list[set[str]]] = {}
-    # Pin streams memoized across dependencies: two rules sharing a
-    # skeleton (and restriction) enumerate identical matches per pin,
-    # so the second one replays the first's stream instead of
-    # rebuilding ball pools and re-running the plan.
-    streams: dict[tuple, list[tuple[tuple[str, str], ...]]] = {}
-    sink = _metrics.sink()
     found: list[TaggedViolation] = []
-
-    for dep_index, ged in enumerate(sigma):
-        pattern = ged.pattern
-        restrict = x_literal_restrictions(graph, ged)
-        restrict_token = _restrict_token(restrict)
-        distances = pattern_distances(pattern)
-        # Label pools for variables in *other* components, shared by
-        # every pin of this dependency.
-        free_pools: dict[str, set[str]] = {}
+    reused = 0
+    for pattern, restrict, members in sigma_groups(graph, sigma):
+        rules = [(position, sigma[position]) for position in members]
+        pools = {}
+        for variable in pattern.variables:
+            label = pattern.label_of(variable)
+            pools[variable] = graph.label_row(None if label == WILDCARD else label)
+        if restrict:
+            for variable, pool in restrict.items():
+                pools[variable] = pools[variable] & pool
         seen: set[tuple[tuple[str, str], ...]] = set()
         for node_id in live:
-            node_label = graph.node(node_id).label
             for variable in pattern.variables:
-                if not matches(pattern.label_of(variable), node_label):
+                if node_id not in pools[variable]:
                     continue
                 if pruner is not None and not pruner.admissible(pattern, variable, node_id):
                     continue
-                stream_key = (pattern, variable, node_id, restrict_token)
-                stream = streams.get(stream_key)
-                if stream is None:
-                    levels = balls.get(node_id)
-                    if levels is None:
-                        levels = balls[node_id] = ball_levels(graph, node_id, radius)
-                    reachable = distances[variable]
-                    pools: dict[str, set[str]] = {}
-                    for other in pattern.variables:
-                        if other == variable:
-                            pools[other] = {node_id}
-                            continue
-                        label = pattern.label_of(other)
-                        distance = reachable.get(other)
-                        if distance is None:  # different component: label pool
-                            pool = free_pools.get(other)
-                            if pool is None:
-                                pool = free_pools[other] = _label_pool(graph, label)
-                            pools[other] = pool
-                        else:
-                            ball = levels[min(distance, len(levels) - 1)]
-                            pools[other] = {
-                                m for m in ball if matches(label, graph.node(m).label)
-                            }
-                    stream = streams[stream_key] = [
-                        tuple(sorted(match.items()))
-                        for match in execute_over_pools(
-                            pattern, graph, pools, restrict=restrict
-                        )
-                    ]
-                else:
-                    sink.incr("matching.sigma.stream_reuse")
-                for key in stream:
+                reused += len(rules) - 1
+                for match in execute_over_pools(
+                    pattern, graph, pools, fixed={variable: node_id}
+                ):
+                    key = tuple(sorted(match.items()))
                     if key in seen:
                         continue
                     seen.add(key)
-                    failed = evaluate_match(graph, ged, dict(key))
-                    if failed:
-                        found.append((dep_index, Violation(ged, key, failed)))
+                    for position, ged in rules:
+                        failed = evaluate_match(graph, ged, match)
+                        if failed:
+                            found.append((position, Violation(ged, key, failed)))
+    if reused:
+        _metrics.sink().incr("matching.sigma.stream_reuse", reused)
     return found
 
 
-__all__ = [
-    "TaggedViolation",
-    "ball_levels",
-    "delta_violations",
-    "pattern_distances",
-    "pattern_radius",
-]
+__all__ = ["TaggedViolation", "delta_violations"]

@@ -11,9 +11,9 @@ keyed by ``(dependency position in Σ, embedding)`` and, per
   now?).  Entries whose embeddings avoid every touched element evaluated
   identically before the batch and are never looked at.
 * **introduced** — the :mod:`~repro.streaming.delta` kernel enumerates
-  every post-update violation whose match meets the touched set (ball-
-  restricted pivot-pinned matching); keys not yet in the ledger are the
-  introduced ones.  A key the kernel re-finds that the ledger already
+  every post-update violation whose match meets the touched set
+  (pivot-pinned matching along the pattern's edges); keys not yet in
+  the ledger are the introduced ones.  A key the kernel re-finds that the ledger already
   holds was itself re-checked by the retirement pass (its embedding
   meets the touched set), so the two passes agree.
 

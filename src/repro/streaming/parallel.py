@@ -14,7 +14,7 @@ re-broadcast the whole graph per batch and lose to serial immediately).
   first fast-forwards its replica (applying, through the ordinary
   validating + index-maintaining path, exactly the batches it has not
   seen — workers that served the previous batch apply one, workers that
-  sat idle catch up), then runs the ball-restricted kernel of
+  sat idle catch up), then runs the pivot-pinned kernel of
   :func:`~repro.streaming.delta.delta_violations` on its shard;
 * when the log outgrows ``max_pending`` batches the executor
   re-broadcasts a fresh snapshot — the streaming analogue of the update

@@ -199,6 +199,15 @@ class TestDegreeAccessors:
         with pytest.raises(GraphError):
             graph.out_row("ghost", "buys")
 
+    def test_label_rows_are_live_and_copyless(self):
+        graph = diamond_graph()
+        users = graph.label_row("user")
+        everyone = graph.label_row(None)  # the wildcard row
+        assert users is graph.label_row("user") and users == {"a", "b"}
+        assert graph.label_row("nope") == frozenset()
+        graph.add_node("e", "user")
+        assert "e" in users and "e" in everyone and len(everyone) == 5
+
 
 class TestCliExplain:
     def test_explain_subcommand(self, tmp_path, capsys):

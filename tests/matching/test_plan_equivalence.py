@@ -13,6 +13,7 @@ prefixes under ``limit``.  These tests compare the two elementwise
   candidate pools.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -93,23 +94,26 @@ class TestHypothesisByteIdentity:
         finally:
             detach_index(graph)
 
+    @pytest.mark.parametrize("source", ["candidate_sets", "label_rows"])
     @settings(max_examples=80, deadline=None)
     @given(graph_pattern_params())
-    def test_caller_pool_identity(self, case):
+    def test_caller_pool_identity(self, source, case):
         """Pool mode (caller candidates) matches the seed given the
-        same pools — the streaming delta kernel's configuration."""
-        graph, pattern, restrict, _fixed, limit, _ = case
-        pools = candidate_sets(pattern, graph, use_index=False)
-        fast = list(
-            find_homomorphisms(
-                pattern, graph, candidates=pools, restrict=restrict, limit=limit
-            )
-        )
-        slow = list(
-            seed_find_homomorphisms(
-                pattern, graph, candidates=pools, restrict=restrict, limit=limit
-            )
-        )
+        same pools — including the streaming delta kernel's
+        configuration: the graph's live label rows (the wildcard row a
+        dict-keys view), one variable pinned by ``fixed``."""
+        graph, pattern, restrict, fixed, limit, _ = case
+        if source == "candidate_sets":
+            pools = candidate_sets(pattern, graph, use_index=False)
+        else:
+            pools = {
+                variable: graph.label_row(None if label == WILDCARD else label)
+                for variable, label in pattern.labels.items()
+            }
+        kwargs = dict(fixed=fixed, restrict=restrict, limit=limit)
+        fast = list(find_homomorphisms(pattern, graph, candidates=pools, **kwargs))
+        copies = {variable: set(pool) for variable, pool in pools.items()}
+        slow = list(seed_find_homomorphisms(pattern, graph, candidates=copies, **kwargs))
         assert fast == slow
 
     @settings(max_examples=60, deadline=None)

@@ -11,6 +11,7 @@ from repro.indexing import attach_index
 from repro.reasoning import find_violations
 from repro.streaming import FragmentDeltaRouter, ViolationLedger, canonical_report
 from repro.workloads import churn_stream, social_churn_stream
+from tests.streaming.shapes import STREAMS
 
 
 def run_ledger(stream, backend, indexed=False, **kwargs):
@@ -32,10 +33,11 @@ def run_ledger(stream, backend, indexed=False, **kwargs):
 
 
 class TestLedgerFragmentBackend:
+    @STREAMS
     @pytest.mark.parametrize("mode", PARTITION_MODES)
     @pytest.mark.parametrize("indexed", [False, True])
-    def test_random_churn_byte_identical(self, mode, indexed):
-        make = lambda: churn_stream(n_nodes=100, batches=10, batch_size=8, rng=11)
+    def test_random_churn_byte_identical(self, mode, indexed, make_stream):
+        make = lambda: make_stream(n_nodes=100, batches=10, batch_size=8, rng=11)
         serial_deltas, serial_final, _ = run_ledger(make(), "serial", indexed)
         fragment_deltas, fragment_final, _ = run_ledger(
             make(), "fragment", indexed, workers=3, fragment_mode=mode

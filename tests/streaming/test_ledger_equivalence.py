@@ -24,6 +24,7 @@ from repro.streaming import (
     violation_to_dict,
 )
 from repro.workloads import churn_stream, social_churn_stream
+from tests.streaming.shapes import STREAMS
 
 
 def ndjson(violations):
@@ -37,12 +38,13 @@ def assert_ledger_equals_full(ledger, graph, sigma):
 
 
 class TestSerialProperty:
+    @STREAMS
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000), st.booleans())
-    def test_ledger_equals_full_revalidation(self, seed, indexed):
+    def test_ledger_equals_full_revalidation(self, make_stream, seed, indexed):
         """The property, over random churn streams (random-graph
         workload) and the index toggle."""
-        stream = churn_stream(
+        stream = make_stream(
             n_nodes=random.Random(seed).randint(20, 60),
             batches=8,
             batch_size=6,
@@ -139,10 +141,11 @@ class TestEngineBackend:
     """The engine-pooled delta path (process workers: a few fixed seeds
     rather than a hypothesis sweep)."""
 
+    @STREAMS
     @pytest.mark.parametrize("indexed", [False, True], ids=["plain", "indexed"])
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_engine_equals_full_revalidation(self, seed, indexed):
-        stream = churn_stream(n_nodes=60, batches=8, rng=seed)
+    def test_engine_equals_full_revalidation(self, seed, indexed, make_stream):
+        stream = make_stream(n_nodes=60, batches=8, rng=seed)
         graph = stream.base.copy()
         if indexed:
             attach_index(graph)
