@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""The CI perf-regression gate for the matching core, the Σ-DAG,
+"""The CI perf-regression gate for the matching core, Σ grouping, the
 engine runtime, streaming, the fragmented graph core, the telemetry
 layer, and the push server.
 
@@ -11,12 +11,13 @@ Seven gates, all against thresholds committed in
   ``benchmarks/bench_matching.py``, which also asserts byte-identical
   violation reports and match streams); fails when the compiled-plan
   speedup drops below its floor (≥ 3x).  Emits ``BENCH_matching.json``.
-* **sigma** — the shared Σ-DAG (:mod:`repro.matching.sigma_dag`)
-  versus per-rule plans on the committed Σ-overlapping workload (the
-  kernel of ``benchmarks/bench_discovery.py``, which also asserts
-  byte-identical violation reports and match counts); fails when
-  either the multi-rule validation speedup or the discovery
-  support-counting speedup drops below its floor (both ≥ 2x).  Emits
+* **sigma** — the grouped full Σ scan versus per-rule plans, and
+  support counting versus materializing every match, on the committed
+  Σ-overlapping workload (the kernel of
+  ``benchmarks/bench_discovery.py``, which also asserts byte-identical
+  violation reports and match counts); fails when either the
+  multi-rule validation speedup or the discovery support-counting
+  speedup drops below its floor (both ≥ 2x).  Emits
   ``BENCH_discovery.json``.
 * **engine** — wall-clock for every validation backend over a worker
   sweep on the committed reference workload, asserting the violation
@@ -150,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {matching_path}")
 
     # ------------------------------------------------------------------
-    # Sigma gate: the shared Σ-DAG vs per-rule plans, both consumers.
+    # Sigma gate: grouped Σ vs per-rule plans, both consumers.
     # ------------------------------------------------------------------
     from benchmarks.bench_discovery import run_sigma_bench
 
@@ -188,7 +189,6 @@ def main(argv: list[str] | None = None) -> int:
         sigma_bench["records"],
         meta={
             "config": sigma_bench["config"],
-            "dag_shape": sigma_bench["dag_shape"],
             "speedup_validation": sigma_bench["speedup_validation"],
             "speedup_discovery": sigma_bench["speedup_discovery"],
             "thresholds": sigma_thresholds,
@@ -562,14 +562,14 @@ def main(argv: list[str] | None = None) -> int:
         )
     if sigma_bench["speedup_validation"] < sigma_thresholds["min_sigma_speedup_validation"]:
         failures.append(
-            f"Σ-DAG multi-rule validation speedup over per-rule plans "
+            f"grouped multi-rule validation speedup over per-rule plans "
             f"{sigma_bench['speedup_validation']:.2f}x < "
             f"{sigma_thresholds['min_sigma_speedup_validation']}x"
         )
     if sigma_bench["speedup_discovery"] < sigma_thresholds["min_sigma_speedup_discovery"]:
         failures.append(
-            f"Σ-DAG discovery support-counting speedup over per-pattern "
-            f"counting {sigma_bench['speedup_discovery']:.2f}x < "
+            f"discovery support-counting speedup over materializing every "
+            f"match {sigma_bench['speedup_discovery']:.2f}x < "
             f"{sigma_thresholds['min_sigma_speedup_discovery']}x"
         )
     if streaming["speedup_per_batch"] < streaming_thresholds["min_ledger_speedup_vs_full"]:

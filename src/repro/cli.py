@@ -522,12 +522,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
     the attribute inverted index at match time when an index is
     attached).
 
-    ``--sigma`` renders the whole rule set's shared Σ-DAG instead: the
-    merged spine (one line per shared enumeration node, annotated with
-    how many rules ride it) and the per-rule leaves hanging off it.
-    With ``--observed`` the annotations carry the counters of the
-    profiled validation run, which itself executes through the same
-    cached Σ-DAG.
+    With ``--observed`` each step also carries the counters of one
+    profiled validation run.  That run executes these same cached
+    plans, also when a multi-rule file's full scan enumerates once per
+    group of rules sharing a pattern, so every rendered plan that ran
+    shows its counts.
     """
     from repro.deps.literals import ConstantLiteral
     from repro.matching.plan import compile_plan
@@ -541,9 +540,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     observed = getattr(args, "observed", False)
     if observed:
         # One profiled validation run populates the per-step execution
-        # counters the observed rendering annotates the plans with.
-        # Multi-rule full scans run through the Σ-DAG, so with --sigma
-        # the counters land on exactly the DAG rendered below.
+        # counters the observed rendering annotates the plans with; the
+        # grouped multi-rule scan runs the very plans rendered below.
         from repro import telemetry
 
         was_enabled = telemetry.enabled()
@@ -553,12 +551,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
         finally:
             if not was_enabled:
                 telemetry.disable()
-    if getattr(args, "sigma", False):
-        from repro.matching.sigma_dag import compile_sigma
-
-        dag = compile_sigma(graph, [ged.pattern for ged in rules])
-        print(dag.explain(observed=observed))
-        return 0
     for position, ged in enumerate(rules):
         if position:
             print()
@@ -959,12 +951,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run one profiled validation first and annotate each step "
         "with its observed frame/candidate/probe counts",
-    )
-    explain_cmd.add_argument(
-        "--sigma",
-        action="store_true",
-        help="render the rule set's shared Σ-DAG (merged prefix spine "
-        "with per-rule leaves) instead of per-rule plans",
     )
     explain_cmd.set_defaults(func=cmd_explain)
 

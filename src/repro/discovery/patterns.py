@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.graph.graph import Graph
-from repro.matching.sigma_dag import count_sigma
+from repro.matching.homomorphism import count_matches
 from repro.patterns.pattern import Pattern
 
 
@@ -133,20 +133,18 @@ def _count_supports(
 ) -> list[int]:
     """Match counts for ``patterns``, serially or on the engine pool.
 
-    Each candidate generation counts as **one Σ-DAG pass**
-    (:func:`~repro.matching.sigma_dag.count_sigma`): near-identical
-    candidates (the edge patterns inside every path/fork family) share
-    their scan/extend prefixes and the final level counts by pool size
-    without materializing matches.  The engine path dispatches the same
-    Σ pass in contiguous chunks, one per worker.
+    Each pattern is counted by
+    :func:`~repro.matching.homomorphism.count_matches`, which adds the
+    deepest step's candidate count per frame instead of materializing
+    matches.  The engine path dispatches the patterns in contiguous
+    chunks.
     """
-    if workers == 1 or len(patterns) <= 1:
-        return count_sigma(graph, patterns)
-    from repro.engine.pool import get_pool, resolve_workers
+    if workers != 1 and len(patterns) > 1:
+        from repro.engine.pool import get_pool, resolve_workers
 
-    if resolve_workers(workers) == 1:
-        return count_sigma(graph, patterns)
-    return get_pool(graph, workers).count_patterns(patterns)
+        if resolve_workers(workers) > 1:
+            return get_pool(graph, workers).count_patterns(patterns)
+    return [count_matches(pattern, graph) for pattern in patterns]
 
 
 __all__ = ["CandidatePattern", "enumerate_candidate_patterns"]

@@ -123,23 +123,14 @@ def _validate_batch(
     return results, _spans.collected_snapshot(registry)
 
 
-def _count_pattern(pattern: Pattern) -> int:
-    """Count matches of one pattern on the warm graph (discovery)."""
+def _count_chunk(patterns: tuple[Pattern, ...]) -> list[int]:
+    """Match counts for a contiguous chunk of patterns on the warm graph
+    (discovery); the coordinator flattens chunk results in dispatch
+    order, so the combined list equals per-pattern counting."""
     from repro.matching.homomorphism import count_matches
 
-    return count_matches(pattern, _worker_graph())
-
-
-def _count_sigma_chunk(patterns: tuple[Pattern, ...]) -> list[int]:
-    """Count a contiguous chunk of patterns as one Σ-DAG pass.
-
-    The chunk shares scan/extend prefixes inside the worker exactly like
-    the serial discovery path; the coordinator flattens chunk results in
-    dispatch order, so the combined list equals per-pattern counting.
-    """
-    from repro.matching.sigma_dag import count_sigma
-
-    return count_sigma(_worker_graph(), list(patterns))
+    graph = _worker_graph()
+    return [count_matches(pattern, graph) for pattern in patterns]
 
 
 def _suggest_unit(violation, allow_backward: bool):
@@ -333,11 +324,10 @@ class EnginePool:
         """Match counts for many patterns (discovery's support scan).
 
         Patterns are dispatched in contiguous chunks — at most
-        ``2 * workers`` — and each chunk runs worker-side as one Σ-DAG
-        pass, so schema siblings that landed in the same chunk share
-        their enumeration prefixes instead of compiling ``len(chunk)``
-        independent plans.  Flattening in dispatch order keeps the
-        result order identical to per-pattern counting.
+        ``2 * workers`` — so a task carries several patterns instead of
+        one; each is counted worker-side by ``count_matches``.
+        Flattening in dispatch order keeps the result order identical
+        to per-pattern counting.
         """
         patterns = list(patterns)
         if not patterns:
@@ -351,7 +341,7 @@ class EnginePool:
             if stop > start:
                 slices.append(tuple(patterns[start:stop]))
             start = stop
-        results = self._map(_count_sigma_chunk, [(chunk,) for chunk in slices])
+        results = self._map(_count_chunk, [(chunk,) for chunk in slices])
         return [count for chunk_counts in results for count in chunk_counts]
 
     def suggest_repairs(self, violations: Sequence, allow_backward: bool = True) -> list:

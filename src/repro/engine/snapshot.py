@@ -52,29 +52,18 @@ class GraphSnapshot:
     #: Optional pre-compiled match plans: ``(pattern, {var: slot array})``
     #: pairs, installed into the worker's view at restore time.
     plan_pools: tuple = ()
-    #: Optional Σ pattern sets to pre-compile into shared Σ-DAGs at
-    #: restore time.  The DAG structure itself is not pickled — it is
-    #: derived from the installed plans (whose candidate pools *did*
-    #: ride the broadcast), so shipping the pattern tuples is enough to
-    #: hand every worker a warm shared spine before its first task.
-    sigma_sets: tuple = ()
 
     def restore(self) -> Graph:
         """Rebuild the graph (and, when ``indexed``, attach a fresh
-        index; and any broadcast plans and Σ-DAGs) — once per worker,
+        index; and install any broadcast plans) — once per worker,
         never per task."""
         from repro.matching.plan import install_plan
-        from repro.matching.sigma_dag import compile_sigma
-        from repro.telemetry import metrics as _metrics
 
         graph = graph_from_arrays(self.arrays)
         if self.indexed:
             attach_index(graph)
         for pattern, pools in self.plan_pools:
             install_plan(graph, pattern, pools)
-        for patterns in self.sigma_sets:
-            compile_sigma(graph, list(patterns))
-            _metrics.sink().incr("matching.sigma.installs")
         return graph
 
     def payload(self) -> bytes:
@@ -92,17 +81,13 @@ def snapshot_graph(graph: Graph, *, ensure_index: bool = False, patterns=None) -
     CLI ``engine`` command's default — building once and broadcasting
     is the engine's whole point).  ``patterns`` embeds each pattern's
     compiled candidate pools (compiling them coordinator-side if not
-    already cached) so workers skip per-pattern candidate derivation —
-    and records the deduplicated set as one ``sigma_sets`` entry, so
-    each worker also pre-compiles the shared Σ-DAG over those plans at
-    restore time.
+    already cached) so workers skip per-pattern candidate derivation.
     """
     from repro.matching.plan import compile_plan
 
     if ensure_index and get_index(graph) is None:
         attach_index(graph)
     plan_pools = []
-    sigma_sets: tuple = ()
     if patterns:
         seen = set()
         for pattern in patterns:
@@ -111,8 +96,6 @@ def snapshot_graph(graph: Graph, *, ensure_index: bool = False, patterns=None) -
             seen.add(pattern)
             plan = compile_plan(graph, pattern)
             plan_pools.append((pattern, dict(plan.pools_sorted)))
-        if len(plan_pools) > 1:
-            sigma_sets = (tuple(pattern for pattern, _ in plan_pools),)
     return GraphSnapshot(
         arrays=graph_to_arrays(graph),
         version=graph.version,
@@ -120,7 +103,6 @@ def snapshot_graph(graph: Graph, *, ensure_index: bool = False, patterns=None) -
         num_nodes=graph.num_nodes,
         num_edges=graph.num_edges,
         plan_pools=tuple(plan_pools),
-        sigma_sets=sigma_sets,
     )
 
 

@@ -30,23 +30,18 @@ from repro.matching.isomorphism import (
     has_injective_match,
 )
 from repro.matching.plan import MatchPlan, compile_plan, execute_over_pools
-from repro.matching.sigma_dag import SigmaDag, SigmaQuery, compile_sigma, count_sigma
 from repro.matching.view import GraphView, get_view
 
 __all__ = [
     "GraphView",
     "Match",
     "MatchPlan",
-    "SigmaDag",
-    "SigmaQuery",
     "ball_closes_locally",
     "ball_levels",
     "candidate_sets",
     "compile_plan",
-    "compile_sigma",
     "count_injective_matches",
     "count_matches",
-    "count_sigma",
     "execute_over_pools",
     "find_homomorphisms",
     "find_injective_matches",

@@ -178,7 +178,11 @@ def has_match(pattern: Pattern, graph: Graph, fixed: Mapping[str, str] | None = 
 
 
 def count_matches(pattern: Pattern, graph: Graph) -> int:
-    return sum(1 for _ in find_homomorphisms(pattern, graph))
+    """The number of matches, counted by the compiled plan without
+    materializing them (:meth:`~repro.matching.plan.MatchPlan.count`)."""
+    from repro.matching.plan import compile_plan
+
+    return compile_plan(graph, pattern).count()
 
 
 def is_homomorphism(pattern: Pattern, graph: Graph, mapping: Mapping[str, str]) -> bool:

@@ -18,7 +18,9 @@ that work into three reusable layers:
   enumerator whose per-depth candidates come from intersecting the
   variable's pool with the adjacency rows of already-bound neighbors
   (smallest operand first), instead of scanning the pool and probing
-  every edge per candidate.
+  every edge per candidate.  Run as a count, it walks the same frames
+  and adds the deepest step's candidate count instead of binding it,
+  so support counting builds no match dicts.
 
 **Byte-identity.**  The executor yields exactly the seed matcher's
 stream: canonical interning makes ascending slot order equal ascending
@@ -58,7 +60,7 @@ no O(|G|) view build is paid per batch.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterator, Mapping, Set as AbstractSet
+from collections.abc import Iterable, Iterator, Mapping, Set as AbstractSet
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_
@@ -207,7 +209,9 @@ class _ExecObserver:
                     totals[2] += entry[2]
 
 
-def _execute(order, steps, pools_sorted, pools_set, row_set, to_id, limit, observer=None):
+def _execute(
+    order, steps, pools_sorted, pools_set, row_set, to_id, limit, observer=None, count=False
+):
     """Enumerate matches with an explicit stack.
 
     ``pools_sorted`` / ``pools_set`` hold each variable's effective
@@ -216,6 +220,11 @@ def _execute(order, steps, pools_sorted, pools_set, row_set, to_id, limit, obser
     executor-space images back to node-id strings.  Yields matches in
     ascending lexicographic order of the binding order — the seed
     matcher's exact stream.
+
+    ``count=True`` yields one int instead: the length of the unlimited
+    stream, which :func:`_count_frames` computes over this run's own
+    frame function without building a match.  Selecting it here, once
+    per run, keeps the match path free of an extra call.
     """
     k = len(order)
     last = k - 1
@@ -267,6 +276,9 @@ def _execute(order, steps, pools_sorted, pools_set, row_set, to_id, limit, obser
             observer.frame(step.variable, len(pool), 0)
         return pool
 
+    if count:
+        yield _count_frames(candidates_at, assign, last)
+        return
     stack = [iter(candidates_at(0))]
     while stack:
         depth = len(stack) - 1
@@ -296,6 +308,35 @@ def _execute(order, steps, pools_sorted, pools_set, row_set, to_id, limit, obser
                     return
             if not descended:
                 stack.pop()
+
+
+def _count_frames(candidates_at, assign, last: int) -> int:
+    """Count :func:`_execute`'s unlimited stream from its frame function:
+    for each image bound one level above the deepest step (``last``),
+    add the number of candidates that step produces."""
+    top = candidates_at(0)
+    if last == 0:
+        return len(top)
+    total = 0
+    stack = [iter(top)]
+    while stack:
+        depth = len(stack) - 1
+        frame = stack[-1]
+        if depth == last - 1:
+            for image in frame:
+                assign[depth] = image
+                total += len(candidates_at(last))
+            stack.pop()
+            continue
+        for image in frame:
+            assign[depth] = image
+            below = candidates_at(depth + 1)
+            if below:
+                stack.append(iter(below))
+                break
+        else:
+            stack.pop()
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -349,20 +390,14 @@ class MatchPlan:
         self.observed: dict[str, list[int]] = {}
 
     # ------------------------------------------------------------------
-    def prepare(
+    def matches(
         self,
         fixed: Mapping[str, str] | None = None,
         restrict: Mapping[str, "set[str] | frozenset[str]"] | None = None,
-    ) -> "tuple[tuple[str, ...], tuple[PlanStep, ...], dict, dict] | None":
-        """The effective execution state for one run.
-
-        Applies ``fixed`` / ``restrict`` exactly as :meth:`matches`
-        (slot translation, re-ranking from effective pool sizes) and
-        returns ``(order, steps, pools_sorted, pools_set)`` — or
-        ``None`` when a pinned image cannot host its variable, i.e. the
-        stream is empty.  Shared by :meth:`matches` and the Σ-DAG
-        executor so both run from byte-identical state.
-        """
+        limit: int | None = None,
+    ) -> Iterator[Match]:
+        """Enumerate matches; same contract and stream as the seed
+        matcher's ``fixed`` / ``restrict`` / ``limit`` parameters."""
         pattern = self.pattern
         view = self.view
         fixed_slots: dict[str, int] = {}
@@ -375,54 +410,41 @@ class MatchPlan:
                     raise PatternError(f"fixed image {node_id!r} is not a node of the graph")
                 fixed_slots[variable] = slot
         if not fixed_slots and not restrict:
-            return self.order, self.steps, self.pools_sorted, self.pools_set
-        pools_set = dict(self.pools_set)
-        if restrict:
-            slot_of, node_of = view.slot_of, view.node_of
-            for variable, pool in restrict.items():
-                if not pattern.has_variable(variable):
-                    raise PatternError(
-                        f"restricted variable {variable!r} is not in the pattern"
-                    )
-                base = pools_set[variable]
-                if len(pool) < len(base):
-                    pools_set[variable] = frozenset(
-                        slot
-                        for node_id in pool
-                        if (slot := slot_of.get(node_id)) is not None and slot in base
-                    )
-                else:
-                    pools_set[variable] = frozenset(
-                        slot for slot in base if node_of[slot] in pool
-                    )
-        for variable, slot in fixed_slots.items():
-            if slot not in pools_set[variable]:
-                return None  # The pinned node can never host this variable.
-            pools_set[variable] = frozenset((slot,))
-        sizes = {v: len(pools_set[v]) for v in pattern.variables}
-        order = tuple(order_for_sizes(pattern, sizes))
-        steps = _steps_for(pattern, order)
-        pools_sorted = {
-            v: self.pools_sorted[v]
-            if pools_set[v] is self.pools_set[v]
-            else tuple(sorted(pools_set[v]))
-            for v in pattern.variables
-        }
-        return order, steps, pools_sorted, pools_set
-
-    def matches(
-        self,
-        fixed: Mapping[str, str] | None = None,
-        restrict: Mapping[str, "set[str] | frozenset[str]"] | None = None,
-        limit: int | None = None,
-    ) -> Iterator[Match]:
-        """Enumerate matches; same contract and stream as the seed
-        matcher's ``fixed`` / ``restrict`` / ``limit`` parameters."""
-        view = self.view
-        prepared = self.prepare(fixed, restrict)
-        if prepared is None:
-            return
-        order, steps, pools_sorted, pools_set = prepared
+            order, steps = self.order, self.steps
+            pools_sorted, pools_set = self.pools_sorted, self.pools_set
+        else:
+            pools_set = dict(self.pools_set)
+            if restrict:
+                slot_of, node_of = view.slot_of, view.node_of
+                for variable, pool in restrict.items():
+                    if not pattern.has_variable(variable):
+                        raise PatternError(
+                            f"restricted variable {variable!r} is not in the pattern"
+                        )
+                    base = pools_set[variable]
+                    if len(pool) < len(base):
+                        pools_set[variable] = frozenset(
+                            slot
+                            for node_id in pool
+                            if (slot := slot_of.get(node_id)) is not None and slot in base
+                        )
+                    else:
+                        pools_set[variable] = frozenset(
+                            slot for slot in base if node_of[slot] in pool
+                        )
+            for variable, slot in fixed_slots.items():
+                if slot not in pools_set[variable]:
+                    return  # The pinned node can never host this variable.
+                pools_set[variable] = frozenset((slot,))
+            sizes = {v: len(pools_set[v]) for v in pattern.variables}
+            order = tuple(order_for_sizes(pattern, sizes))
+            steps = _steps_for(pattern, order)
+            pools_sorted = {
+                v: self.pools_sorted[v]
+                if pools_set[v] is self.pools_set[v]
+                else tuple(sorted(pools_set[v]))
+                for v in pattern.variables
+            }
         sink = _metrics.sink()
         if not sink.enabled:
             yield from _execute(
@@ -449,6 +471,27 @@ class MatchPlan:
             )
         finally:
             observer.flush(_metrics.sink())
+
+    def count(self) -> int:
+        """The number of matches, counted without materializing them
+        (:func:`_count_frames`); equal to ``len(list(self.matches()))``."""
+        observer = _ExecObserver(self.observed) if _metrics.sink().enabled else None
+        run = _execute(
+            self.order,
+            self.steps,
+            self.pools_sorted,
+            self.pools_set,
+            self.view.row_set,
+            None,
+            None,
+            observer,
+            count=True,
+        )
+        try:
+            return next(run)
+        finally:
+            if observer is not None:
+                observer.flush(_metrics.sink())
 
     # ------------------------------------------------------------------
     def step_cost(self, depth: int) -> float:
@@ -544,6 +587,13 @@ def compile_plan(graph: Graph, pattern: Pattern) -> MatchPlan:
     else:
         _metrics.sink().incr("plan.cache_hits")
     return plan
+
+
+def compile_sigma(graph: Graph, patterns: Iterable[Pattern]) -> dict[Pattern, MatchPlan]:
+    """The compiled plan of each distinct pattern of a rule set, in
+    first-appearance order (every plan from :func:`compile_plan`'s
+    view cache)."""
+    return {pattern: compile_plan(graph, pattern) for pattern in dict.fromkeys(patterns)}
 
 
 def _view_profile(view: GraphView, graph: Graph) -> MatchCostProfile:
@@ -707,6 +757,7 @@ __all__ = [
     "MatchPlan",
     "PlanStep",
     "compile_plan",
+    "compile_sigma",
     "execute_over_pools",
     "install_plan",
     "program_cache_info",

@@ -59,8 +59,6 @@ class GraphView:
         "plans",
         "plan_compiles",
         "plan_installs",
-        "sigma_dags",
-        "sigma_compiles",
         "cost_profile",
     )
 
@@ -82,10 +80,6 @@ class GraphView:
         self.plans: dict[tuple[object, bool], object] = {}
         self.plan_compiles: int = 0  # plans compiled from candidate sets
         self.plan_installs: int = 0  # plans installed from a broadcast payload
-        # Σ-DAG cache, keyed (deduped pattern tuple, index-attached?).
-        # Same lifetime rule as ``plans``: dies with the view.
-        self.sigma_dags: dict[tuple[tuple[object, ...], bool], object] = {}
-        self.sigma_compiles: int = 0  # Σ-DAGs compiled against this view
         # The cost model's selectivity statistics, computed lazily once
         # per view (they depend only on (graph, version) — the indexed
         # and edge-scan derivations agree on every count).

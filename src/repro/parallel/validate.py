@@ -60,7 +60,7 @@ from repro.matching.locality import pivot_radius, split_local_pivots
 from repro.reasoning.validation import (
     Violation,
     evaluate_match,
-    sigma_groups,
+    sigma_scan,
     x_literal_restrictions,
 )
 from repro.telemetry import metrics as _metrics
@@ -179,48 +179,25 @@ def run_shard(
     return violations, stats
 
 
-# Backwards-compatible private alias (the engine's worker entry point
-# imports the public name; older call sites used the underscore form).
-_run_shard = run_shard
-
-
 def _run_sigma_batch(
     graph: Graph, sigma: "list[GED]"
 ) -> list[tuple[list[Violation], ShardStats]]:
-    """The 1-worker serial kernel as one Σ-DAG pass.
+    """The 1-worker serial kernel as one grouped Σ scan.
 
     Semantically identical to running :func:`run_shard` once per rule
     over its full (single-shard) pivot pool: at one shard the pivot
-    restriction is the rule's whole candidate pool, so the effective
-    pools — and therefore the match stream — equal the X-restricted
-    solo run the shared DAG reproduces leaf for leaf.  Accounting
-    differences: every rule's ``ShardStats.seconds`` is the *batch's*
-    shared wall clock (shared frames cannot be attributed to one rule),
-    and the slow-plan hook does not fire (no per-rule elapsed exists).
-    Rules whose pattern cannot match keep getting no stats row, exactly
-    like the zero-shard plans they replace.
+    restriction is the rule's whole candidate pool, so the match stream
+    equals the X-restricted solo run that
+    :func:`~repro.reasoning.validation.sigma_scan` performs once per
+    (pattern, restriction) group.  Accounting differences: every rule's
+    ``ShardStats.seconds`` is the *batch's* wall clock (a group's
+    enumeration cannot be attributed to one member rule), and the
+    slow-plan hook does not fire (no per-rule elapsed exists).  Rules
+    whose pattern cannot match keep getting no stats row, exactly like
+    the zero-shard plans they replace.
     """
-    from repro.matching.sigma_dag import SigmaQuery, compile_sigma
-
     started = time.perf_counter()
-    dag = compile_sigma(graph, [ged.pattern for ged in sigma])
-    # Rules grouped by (pattern, restriction) share one query — and,
-    # when no restriction applies, the DAG's cached whole-set trie.
-    groups = sigma_groups(graph, sigma)
-    queries = [SigmaQuery(pattern, restrict=restrict) for pattern, restrict, _ in groups]
-    members = [positions for _, _, positions in groups]
-    buckets: list[list[Violation]] = [[] for _ in sigma]
-    match_counts = [0] * len(sigma)
-    for group, match in dag.iter_matches(queries):
-        items = None
-        for position in members[group]:
-            match_counts[position] += 1
-            ged = sigma[position]
-            failed = evaluate_match(graph, ged, match)
-            if failed:
-                if items is None:
-                    items = tuple(sorted(match.items()))
-                buckets[position].append(Violation(ged, items, failed))
+    buckets, match_counts = sigma_scan(graph, sigma)
     elapsed = time.perf_counter() - started
     results: list[tuple[list[Violation], ShardStats]] = []
     for position, ged in enumerate(sigma):
@@ -428,9 +405,10 @@ def _dispatch_backend(
             indexed = get_index(graph) is not None
     elif backend == "serial" and workers == 1 and len(sigma) > 1:
         # One worker, many rules: there is nothing to shard, so the
-        # whole Σ runs as a single shared-prefix DAG pass instead of
-        # one plan execution per rule (identical violations; each
-        # rule's ShardStats carries the batch's shared wall clock).
+        # whole Σ runs as one grouped scan, enumerating once per
+        # (pattern, restriction) group instead of once per rule
+        # (identical violations; each rule's ShardStats carries the
+        # batch's wall clock).
         results = _run_sigma_batch(graph, sigma)
         indexed = get_index(graph) is not None
     else:

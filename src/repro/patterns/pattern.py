@@ -208,7 +208,7 @@ class Pattern:
 
     def __hash__(self) -> int:
         # Memoized: patterns are immutable and every cache in the
-        # matching stack (plan registries, Σ-DAG grouping, step caches)
+        # matching stack (plan registries, Σ grouping, step caches)
         # keys on them, often once per enumerated match.
         cached = getattr(self, "_hash", None)
         if cached is None:

@@ -32,8 +32,7 @@ from repro.deps.literals import (
 )
 from repro.graph.graph import Graph
 from repro.indexing.registry import get_index
-from repro.matching.plan import compile_plan
-from repro.matching.sigma_dag import SigmaQuery, compile_sigma
+from repro.matching.plan import compile_plan, compile_sigma
 from repro.patterns.pattern import Pattern
 from repro.telemetry.spans import span
 
@@ -150,17 +149,18 @@ def find_violations(
     violations are identical either way.
 
     Multi-rule full scans (``limit is None``, more than one dependency)
-    run as **one Σ-DAG pass** (:func:`~repro.matching.sigma_dag.compile_sigma`):
-    shared pattern prefixes across Σ are enumerated once and each
-    emitted match is evaluated against its own rule's literals.  The
-    per-dependency violation lists — and their concatenation order —
-    are byte-identical to the per-rule loop.  Limited scans keep the
-    per-rule loop: ``validates`` stops at the first violation, and a
-    whole-Σ walk would do strictly more work than the solo plan.
+    run **grouped** (:func:`sigma_scan`): rules sharing a pattern and an
+    X-restriction are enumerated once and every member rule is
+    evaluated on each match.  The per-dependency violation lists — and
+    their concatenation order — are byte-identical to the per-rule
+    loop.  Limited scans keep the per-rule loop: ``validates`` stops at
+    the first violation, which grouping cannot bring any sooner.
     """
     sigma = list(sigma)
     if limit is None and len(sigma) > 1:
-        return _sigma_find_violations(graph, sigma)
+        with span("validate.sigma", rules=len(sigma)):
+            buckets, _ = sigma_scan(graph, sigma)
+        return [violation for bucket in buckets for violation in bucket]
     violations: list[Violation] = []
     for position, ged in enumerate(sigma):
         with span("validate.dep", dep=ged.name or f"#{position}"):
@@ -185,10 +185,10 @@ def sigma_groups(
     Each group is ``(pattern, restrict, member positions)``: literal
     variants over one skeleton whose
     :func:`x_literal_restrictions` agree enumerate the same matches, so
-    every consumer that walks Σ — the full Σ scan, the serial shard
-    batch and the streaming delta kernel — enumerates once per group
-    and evaluates each member rule off that one stream.  ``pattern`` and
-    ``restrict`` are the first member's.
+    every consumer that walks Σ — the full Σ scan and the serial shard
+    batch (:func:`sigma_scan`), and the streaming delta kernel —
+    enumerates once per group and evaluates each member rule off that
+    one stream.  ``pattern`` and ``restrict`` are the first member's.
     """
     groups: dict = {}
     for position, ged in enumerate(sigma):
@@ -206,36 +206,37 @@ def sigma_groups(
     return list(groups.values())
 
 
-def _sigma_find_violations(graph: Graph, sigma: "list[GED]") -> list[Violation]:
-    """The Σ-batched full scan: one shared-DAG walk, per-rule buckets.
+def sigma_scan(
+    graph: Graph, sigma: "Sequence[GED]"
+) -> tuple[list[list[Violation]], list[int]]:
+    """The grouped full Σ scan: per-rule violation lists and match counts.
 
-    Rules are grouped by (pattern, restriction) (:func:`sigma_groups`):
-    literal variants over one skeleton share a *single* query — the DAG
-    enumerates their common stream once and each emitted match is
-    evaluated against every rule in the group.  (With no index attached
-    every restriction is ``None``, so the query set collapses to the
-    DAG's deduplicated pattern tuple and the walk reuses the cached
-    whole-set trie.)  Matches arrive interleaved across groups, so
-    violations are bucketed per rule and concatenated in Σ order — the
-    exact output of the per-rule loop, because each rule's match
-    subsequence is its solo stream.
+    One ``plan.matches(restrict=...)`` run per :func:`sigma_groups`
+    group, with every member rule evaluated on each match.  Each rule's
+    list is exactly what its solo run yields, because a group's
+    restriction is each member's own.  Plans come from this module's
+    ``compile_sigma``, looked up at call time: the traced serve
+    benchmark (``perfbench/traced_serve.py``) wraps that name to time
+    Σ compilation.
     """
-    dag = compile_sigma(graph, [ged.pattern for ged in sigma])
-    groups = sigma_groups(graph, sigma)
-    queries = [SigmaQuery(pattern, restrict=restrict) for pattern, restrict, _ in groups]
-    members = [positions for _, _, positions in groups]
+    plans = compile_sigma(graph, [ged.pattern for ged in sigma])
     buckets: list[list[Violation]] = [[] for _ in sigma]
-    with span("validate.sigma", rules=len(sigma)):
-        for group, match in dag.iter_matches(queries):
+    counts = [0] * len(sigma)
+    for pattern, restrict, members in sigma_groups(graph, sigma):
+        rules = [(position, sigma[position]) for position in members]
+        matched = 0
+        for match in plans[pattern].matches(restrict=restrict):
+            matched += 1
             items = None
-            for position in members[group]:
-                ged = sigma[position]
+            for position, ged in rules:
                 failed = evaluate_match(graph, ged, match)
                 if failed:
                     if items is None:
                         items = tuple(sorted(match.items()))
                     buckets[position].append(Violation(ged, items, failed))
-    return [violation for bucket in buckets for violation in bucket]
+        for position in members:
+            counts[position] = matched
+    return buckets, counts
 
 
 def validates(graph: Graph, sigma: Iterable[GED], **_ignored) -> bool:

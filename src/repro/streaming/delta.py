@@ -39,10 +39,9 @@ step program are memoized per (pattern, effective pool sizes), so they
 are derived once, not once per pinned node — and no O(|G|) graph-view
 build is paid on a graph that mutates every batch.
 
-**Σ grouping** rides the same observation as
-:mod:`repro.matching.sigma_dag`: rule sets are families of literal
-variants over few distinct skeletons.  The kernel groups Σ by (pattern,
-X-restriction) — :func:`~repro.reasoning.validation.sigma_groups`, the
+**Σ grouping** rides the observation that rule sets are families of
+literal variants over few distinct skeletons.  The kernel groups Σ by
+(pattern, X-restriction) — :func:`~repro.reasoning.validation.sigma_groups`, the
 grouping the full Σ scan uses — enumerates each (pinned variable,
 touched node) once per group, and evaluates every member rule off that
 one stream (``matching.sigma.stream_reuse`` counts the further rules

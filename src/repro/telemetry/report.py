@@ -86,14 +86,6 @@ def derived_stats(snapshot: dict[str, Any]) -> dict[str, Any]:
     filter_hit_rate = (filter_hits / filter_checks) if filter_checks else None
     push = histograms.get("serve.push_seconds")
 
-    sigma_expanded = counters.get("matching.sigma.frames_expanded", 0)
-    sigma_saved = counters.get("matching.sigma.frames_saved", 0)
-    sigma_frames = sigma_expanded + sigma_saved
-    sigma_hit_rate = (sigma_saved / sigma_frames) if sigma_frames else None
-    sigma_leaves = counters.get("matching.sigma.leaves", 0)
-    sigma_spines = counters.get("matching.sigma.spines", 0)
-    sigma_leaves_per_spine = (sigma_leaves / sigma_spines) if sigma_spines else None
-
     return {
         "escalated_pivot_share": escalated_share,
         "warm_pool_hit_rate": warm_rate,
@@ -102,9 +94,6 @@ def derived_stats(snapshot: dict[str, Any]) -> dict[str, Any]:
         "frames_expanded": counters.get("plan.frames_expanded", 0),
         "index_hit_rate": index_rate,
         "routing_ops_saved": routing_saved,
-        "sigma_prefix_hit_rate": sigma_hit_rate,
-        "sigma_frames_saved": sigma_saved,
-        "sigma_leaves_per_spine": sigma_leaves_per_spine,
         "lpt_imbalance": gauges.get("engine.lpt_imbalance"),
         "push_p50_seconds": histogram_quantile(push, 0.50),
         "push_p99_seconds": histogram_quantile(push, 0.99),
@@ -146,9 +135,6 @@ def format_text(snapshot: dict[str, Any]) -> str:
     lines.append(f"routing ops saved:       {_ratio(derived['routing_ops_saved'])}")
     lines.append(f"LPT imbalance:           {_number(derived['lpt_imbalance'])}")
     lines.append(f"frames expanded (total): {_number(derived['frames_expanded'])}")
-    lines.append(f"Σ shared-prefix hit rate: {_ratio(derived['sigma_prefix_hit_rate'])}")
-    lines.append(f"Σ frames saved:          {_number(derived['sigma_frames_saved'])}")
-    lines.append(f"Σ leaves per spine:      {_number(derived['sigma_leaves_per_spine'])}")
     lines.append(f"push latency p50/p99:    {_seconds(derived['push_p50_seconds'])} / {_seconds(derived['push_p99_seconds'])}")
     lines.append(f"serve filter hit rate:   {_ratio(derived['serve_filter_hit_rate'])}")
     lines.append(f"serve queue depth p99:   {_number(derived['serve_queue_depth_p99'])}")

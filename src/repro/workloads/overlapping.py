@@ -4,34 +4,31 @@ varying literals.
 Real dependency sets are families: one shape-and-label skeleton
 instantiated with many attribute literals (Example 1's store rules all
 ride the same ``user -buys-> item`` core).  This generator builds a
-graph *regular enough* that those skeletons compile to identical
-cost-ordered prefixes — the Σ-DAG's best case, and the workload the
-perf gate's ``sigma`` section measures DAG-vs-per-rule speedup on.
+graph for three such skeletons — the workload the perf gate's
+``sigma`` section measures grouped-vs-per-rule validation on.
 
-Two properties are load-bearing:
+Two properties shape it:
 
-* **Regularity** — prefix sharing requires *equal effective pools*:
-  every user both buys and rates, every item is bought and sold, every
-  shop sells and is rated, so degree pruning never splits the
-  per-skeleton pools apart, and users are deliberately the smallest
-  label pool so every skeleton's cost model binds ``u`` first.  The
-  three skeletons then share one ``u -> i`` spine: ``edge`` completes
-  at depth 1, ``path`` extends it with a sells probe, and ``tri``
-  forks off the same depth-1 node with one extra row check.
+* **Regularity** — every user both buys and rates, every item is
+  bought and sold, every shop sells and is rated, so degree pruning
+  never empties a skeleton's pools, and users are deliberately the
+  smallest label pool so every skeleton's cost model binds ``u``
+  first: ``edge`` completes at depth 1, ``path`` extends it with a
+  sells probe, and ``tri`` adds one extra row check.
 * **Low triangle closure** — the regularity floor edges are assigned
   *independently* (a correlated floor would plant one triangle per
   shop), so ``tri`` enumerates many ``(u, i)`` frames but completes
   few matches.  Rule families are weighted toward ``tri``
   (``variants`` copies, vs ``variants // 12`` paths and
-  ``variants // 24`` edges) because that is where sharing pays most:
-  per-rule plans re-walk the whole spine per literal variant, while
-  the per-match literal evaluation both executors must do stays tiny.
+  ``variants // 24`` edges) because that is where grouping pays most:
+  per-rule plans re-walk the whole search per literal variant, while
+  the per-match literal evaluation both paths must do stays tiny.
 
 :func:`overlapping_rule_set` instantiates the skeletons with different
-Y-literals and an empty X — identical patterns merge into a *single*
-shared enumeration, so the DAG walks each skeleton once however many
-literal variants ride it (and, X being empty, an attached index
-imposes no restriction pools that could split the spine).
+Y-literals and an empty X — identical patterns fall into a *single*
+(pattern, restriction) group, so the grouped scan walks each skeleton
+once however many literal variants ride it (and, X being empty, an
+attached index imposes no restriction pools that could split a group).
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ def overlapping_workload(
     buys_per_user: int = 3,
     rates_per_user: int = 1,
 ) -> Graph:
-    """A regular user/item/shop graph sized for Σ-prefix sharing.
+    """A regular user/item/shop graph for the Σ-overlapping rule set.
 
     Node budget splits ~1/6 users, ~2/6 items, ~3/6 shops.  Every user
     buys ``buys_per_user`` items and rates ``rates_per_user`` shops;
@@ -108,7 +105,7 @@ def overlapping_workload(
 
 
 #: The three shared skeletons (module-level so every caller gets the
-#: *same* Pattern objects and the plan/Σ-DAG caches can do their job).
+#: *same* Pattern objects and the plan caches can do their job).
 EDGE_SKELETON = Pattern({"u": "user", "i": "item"}, [("u", "buys", "i")])
 PATH_SKELETON = Pattern(
     {"u": "user", "i": "item", "s": "shop"},
@@ -125,10 +122,10 @@ def overlapping_rule_set(variants: int = 24) -> list[GED]:
 
     ``variants`` tri rules, ``max(1, variants // 12)`` path rules and
     ``max(1, variants // 24)`` edge rules — every rule's X is empty and
-    Y varies per rule, so the set is exactly the Σ-DAG's target shape:
-    few distinct patterns, many literal leaves, weighted hard toward
+    Y varies per rule, so the set is exactly grouping's target shape:
+    few distinct patterns, many literal variants, weighted hard toward
     the low-closure ``tri`` skeleton whose enumeration-to-match ratio
-    is where prefix sharing pays.  Every Y targets the skewed ``tier``
+    is where enumerating once per group pays.  Every Y targets the skewed ``tier``
     attribute, so most matches satisfy their rule — violations stay a
     realistic minority instead of dominating the validation wall clock
     with report construction.

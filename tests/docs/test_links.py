@@ -32,6 +32,7 @@ def test_checker_catches_a_broken_link(tmp_path, monkeypatch):
     docs.mkdir()
     (tmp_path / "README.md").write_text(
         "# Title\n\nSee [missing](docs/nope.md) and [bad](#no-such-heading).\n"
+        "`repro.matching.plan.MatchPlan` resolves; `repro.matching.no_such_module` does not.\n"
     )
     (docs / "page.md").write_text(
         "# Page\n\nBad block:\n\n```json\n{not json}\n```\n"
@@ -41,8 +42,9 @@ def test_checker_catches_a_broken_link(tmp_path, monkeypatch):
     cache = {}
     for page in check_docs.doc_pages():
         problems.extend(check_docs.check_page(page, cache))
-    assert len(problems) == 3
+    assert len(problems) == 4
     assert any("broken link" in p for p in problems)
+    assert any("no_such_module" in p for p in problems)
     assert any("in-page anchor" in p for p in problems)
     assert any("does not parse" in p for p in problems)
 

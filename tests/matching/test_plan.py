@@ -4,8 +4,8 @@ Covers the pieces the differential suite treats as a black box: the
 canonical interning and CSR structure of :class:`GraphView`, plan
 caching and version-based invalidation, the explain rendering and CLI
 subcommand, compiled-plan reuse inside engine workers, plan shipping in
-snapshot broadcasts, and the pattern-program cache the streaming delta
-kernel leans on.
+snapshot broadcasts, the counting mode, and the pattern-program cache
+the streaming delta kernel leans on.
 """
 
 import pytest
@@ -15,10 +15,17 @@ from repro.engine.snapshot import snapshot_graph
 from repro.engine.scheduler import plan_tasks
 from repro.graph import GraphBuilder
 from repro.indexing import attach_index, detach_index
-from repro.matching import compile_plan, find_homomorphisms, get_view
-from repro.matching.plan import program_cache_info
+from repro.matching import (
+    compile_plan,
+    count_matches,
+    find_homomorphisms,
+    get_view,
+    seed_find_homomorphisms,
+)
+from repro.matching.plan import compile_sigma, program_cache_info
 from repro.matching.view import build_view, peek_view
 from repro.patterns import WILDCARD, Pattern
+from repro.telemetry import metrics
 from repro.workloads import bounded_rule_set, validation_workload
 
 
@@ -103,6 +110,20 @@ class TestPlanCaching:
         finally:
             detach_index(graph)
 
+    def test_compile_sigma_shares_the_plan_cache(self):
+        """One plan per distinct pattern, in first-appearance order,
+        straight from the view cache every other consumer reads."""
+        graph = diamond_graph()
+        edge = Pattern({"u": "user", "i": "item"}, [("u", "buys", "i")])
+        loop = Pattern({"x": "shop"}, [("x", "sells", "x")])
+        equal_edge = Pattern({"u": "user", "i": "item"}, [("u", "buys", "i")])
+        plans = compile_sigma(graph, [edge, loop, equal_edge, edge])
+        assert list(plans) == [edge, loop]
+        assert get_view(graph).plan_compiles == 2
+        for pattern, plan in plans.items():
+            assert plan is compile_plan(graph, pattern)
+        assert get_view(graph).plan_compiles == 2
+
     def test_self_loop_and_wildcard_steps(self):
         graph = diamond_graph()
         loop = Pattern({"x": "shop"}, [("x", "sells", "x")])
@@ -123,6 +144,59 @@ class TestPlanCaching:
         assert "step 1: scan" in text
         assert "step 2: extend" in text
         assert "pool" in text and "est." in text
+
+
+#: Patterns over :func:`diamond_graph` that reach each branch of the
+#: counting mode: a one-variable plan (its only step is the one
+#: counted), a self-loop filter, a disconnected pattern whose last step
+#: is a scan, an extend at the deepest step, a three-step chain, and a
+#: search whose deepest frames are all empty.
+COUNTING_PATTERNS = {
+    "one-variable": Pattern({"u": "user"}),
+    "self-loop": Pattern({"x": "shop"}, [("x", "sells", "x")]),
+    "two-components": Pattern({"u": "user", "s": "shop"}),
+    "wildcard-edge": Pattern({"x": WILDCARD, "y": WILDCARD}, [("x", WILDCARD, "y")]),
+    "chain": Pattern(
+        {"u": "user", "i": "item", "s": "shop"}, [("u", "buys", "i"), ("s", "sells", "i")]
+    ),
+    "no-match": Pattern(
+        {"u": "user", "i": "item", "s": "shop"},
+        [("u", "buys", "i"), ("s", "sells", "i"), ("u", "rates", "s")],
+    ),
+}
+
+
+class TestPlanCounting:
+    @pytest.mark.parametrize("name", list(COUNTING_PATTERNS))
+    def test_count_equals_stream_length(self, name):
+        graph = diamond_graph()
+        pattern = COUNTING_PATTERNS[name]
+        for indexed in (False, True):
+            if indexed:
+                attach_index(graph)
+            try:
+                expected = len(list(seed_find_homomorphisms(pattern, graph)))
+                assert count_matches(pattern, graph) == expected
+                assert compile_plan(graph, pattern).count() == expected
+            finally:
+                detach_index(graph)
+
+    def test_count_observes_the_frames_enumeration_expands(self):
+        """Counting runs the executor's own frame function, so its
+        observed totals are exactly a full enumeration's."""
+        graph = validation_workload(80, rng=3)
+        for ged in bounded_rule_set():
+            plan = compile_plan(graph, ged.pattern)
+            plan.observed.clear()
+            with metrics.collecting():
+                counted = plan.count()
+            observed_by_count = {v: list(e) for v, e in plan.observed.items()}
+            plan.observed.clear()
+            with metrics.collecting():
+                matched = len(list(plan.matches()))
+            assert counted == matched
+            assert observed_by_count == plan.observed
+            plan.observed.clear()
 
 
 class TestPlanShipping:

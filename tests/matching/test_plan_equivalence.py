@@ -19,20 +19,24 @@ from hypothesis import strategies as st
 
 from repro.graph import random_labeled_graph
 from repro.indexing import attach_index, detach_index
-from repro.matching import find_homomorphisms, seed_find_homomorphisms
+from repro.matching import count_matches, find_homomorphisms, seed_find_homomorphisms
 from repro.matching.candidates import candidate_sets
 from repro.patterns import WILDCARD, Pattern
 from repro.reasoning.validation import (
     Violation,
     evaluate_match,
     find_violations,
+    sigma_groups,
     x_literal_restrictions,
 )
 from repro.workloads import (
     bounded_rule_set,
+    overlapping_rule_set,
+    overlapping_workload,
     synthetic_social_network,
     validation_workload,
 )
+from tests.streaming.shapes import shape_churn_stream, shape_rule_set
 
 
 def streams_equal(pattern, graph, **kwargs):
@@ -90,6 +94,9 @@ class TestHypothesisByteIdentity:
         try:
             streams_equal(
                 pattern, graph, restrict=restrict, fixed=fixed, limit=limit
+            )
+            assert count_matches(pattern, graph) == len(
+                list(seed_find_homomorphisms(pattern, graph))
             )
         finally:
             detach_index(graph)
@@ -205,11 +212,23 @@ class TestWorkloadByteIdentity:
             finally:
                 detach_index(graph)
 
-    def test_validation_equals_seed_interpreter(self):
-        """find_violations (plan-executed) == the seed interpretation,
-        with and without an index — the perf gate's correctness half."""
-        graph = validation_workload(150, rng=7)
-        sigma = bounded_rule_set()
+    @pytest.mark.parametrize(
+        "inputs, merges",
+        [
+            (lambda: (validation_workload(150, rng=7), bounded_rule_set()), False),
+            (lambda: (shape_churn_stream().base, shape_rule_set()), True),
+            (lambda: (overlapping_workload(120, rng=3), overlapping_rule_set(6)), True),
+        ],
+        ids=["bounded", "shapes", "overlapping"],
+    )
+    def test_validation_equals_seed_interpreter(self, inputs, merges):
+        """find_violations (plan-executed) == the per-rule seed
+        interpretation, with and without an index — the perf gate's
+        correctness half.  The shapes and overlapping sets hold literal
+        variants that the grouped full scan enumerates once per group;
+        with an index, the shapes set's two X-literal rules split off
+        into their own group."""
+        graph, sigma = inputs()
 
         def seed_violations():
             found = []
@@ -229,6 +248,8 @@ class TestWorkloadByteIdentity:
             if indexed:
                 attach_index(graph)
             try:
+                if merges:
+                    assert len(sigma_groups(graph, sigma)) < len(sigma)
                 assert find_violations(graph, sigma) == seed_violations()
             finally:
                 detach_index(graph)

@@ -18,6 +18,8 @@ from repro.parallel import parallel_find_violations
 from repro.reasoning import find_violations
 from repro.workloads import (
     bounded_rule_set,
+    overlapping_rule_set,
+    overlapping_workload,
     synthetic_social_network,
     validation_workload,
 )
@@ -70,6 +72,22 @@ class TestSocialWorkload:
             attach_index(graph)
         else:
             detach_index(graph)
+        assert_backends_agree(graph, sigma)
+
+
+class TestOverlappingSigma:
+    """Literal variants over shared skeletons: the grouped full scan
+    (and the serial backend's grouped batch) against every backend."""
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_all_backends_identical(self, indexed):
+        graph = overlapping_workload(120, rng=3)
+        sigma = overlapping_rule_set(6)
+        if indexed:
+            attach_index(graph)
+        else:
+            detach_index(graph)
+        assert find_violations(graph, sigma)  # violations to compare
         assert_backends_agree(graph, sigma)
 
 

@@ -6,6 +6,8 @@ from repro import paper
 from repro.deps import FALSE, ConstantLiteral, GED, IdLiteral, VariableLiteral
 from repro.errors import DependencyError
 from repro.graph import GraphBuilder
+from repro.indexing import attach_index, detach_index
+from repro.matching import compile_plan
 from repro.patterns import Pattern
 from repro.reasoning import (
     find_violations,
@@ -14,6 +16,8 @@ from repro.reasoning import (
     validate_bounded,
     validates,
 )
+from repro.reasoning.validation import sigma_groups, sigma_scan, x_literal_restrictions
+from tests.streaming.shapes import shape_churn_stream, shape_rule_set
 
 
 def knowledge_graph():
@@ -156,6 +160,39 @@ class TestViolationAPI:
         sigma = [paper.phi1(), paper.phi2(), paper.phi3(), paper.phi4()]
         violations = find_violations(knowledge_graph(), sigma)
         assert {v.ged.name for v in violations} == {"phi1", "phi2", "phi3", "phi4"}
+
+
+class TestSigmaScan:
+    """The grouped full Σ scan: rules sharing a pattern and an
+    X-restriction are enumerated once, and each keeps its solo result."""
+
+    def test_duplicate_rules_keep_solo_semantics(self):
+        g = knowledge_graph()
+        variant = GED(paper.q2(), [], [IdLiteral("y", "z")], name="phi2-id")
+        sigma = [paper.phi2(), paper.phi2(), variant]
+        assert [members for _, _, members in sigma_groups(g, sigma)] == [[0, 1, 2]]
+        solo = [find_violations(g, [ged]) for ged in sigma]
+        assert all(solo)
+        assert find_violations(g, sigma) == solo[0] + solo[1] + solo[2]
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_counts_and_buckets_are_each_rules_solo_run(self, indexed):
+        """With an index the shapes set's X-literal rules get their own
+        restriction, so one pattern's rules report different counts."""
+        graph = shape_churn_stream().base
+        sigma = shape_rule_set()
+        if indexed:
+            attach_index(graph)
+        try:
+            buckets, counts = sigma_scan(graph, sigma)
+            for position, ged in enumerate(sigma):
+                restrict = x_literal_restrictions(graph, ged)
+                stream = list(compile_plan(graph, ged.pattern).matches(restrict=restrict))
+                assert counts[position] == len(stream)
+                assert buckets[position] == find_violations(graph, [ged])
+            assert any(counts) and any(buckets)
+        finally:
+            detach_index(graph)
 
 
 class TestBoundedFacade:

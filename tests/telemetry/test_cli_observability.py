@@ -6,6 +6,7 @@ import pytest
 
 from repro import paper, telemetry
 from repro.cli import main
+from repro.deps import GED, IdLiteral
 from repro.deps.io import ged_to_dict
 from repro.engine import shutdown_pools
 from repro.graph import GraphBuilder
@@ -160,18 +161,26 @@ class TestStreamSummary:
 
 
 class TestObservedExplain:
-    def test_observed_annotations_render_actual_counts(self, kb_files, capsys):
+    def test_observed_annotations_render_actual_counts(self, kb_files, tmp_path, capsys):
         graph_path, rules_path = kb_files
-        code = main(
-            ["explain", "--graph", str(graph_path), "--rules", str(rules_path),
-             "--observed"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "[obs. " in out
-        assert "frame(s)" in out and "row probe(s)" in out
-        assert "not executed" not in out  # every step of phi2's plan ran
-        assert not telemetry.enabled()
+        # phi2 alone, and phi2 plus a literal variant over its pattern:
+        # the grouped full scan enumerates the pair once, through the
+        # very plan both rules render.
+        variant = GED(paper.q2(), [], [IdLiteral("y", "z")], name="phi2-id")
+        pair_path = tmp_path / "pair.json"
+        pair_path.write_text(json.dumps([ged_to_dict(paper.phi2()), ged_to_dict(variant)]))
+        for path, rules in ((rules_path, 1), (pair_path, 2)):
+            code = main(
+                ["explain", "--graph", str(graph_path), "--rules", str(path),
+                 "--observed"]
+            )
+            out = capsys.readouterr().out
+            assert code == 0
+            assert out.count("== ") == rules
+            assert "[obs. " in out
+            assert "frame(s)" in out and "row probe(s)" in out
+            assert "not executed" not in out  # every step of phi2's plan ran
+            assert not telemetry.enabled()
 
     def test_default_explain_is_unannotated(self, kb_files, capsys):
         graph_path, rules_path = kb_files

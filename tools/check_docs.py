@@ -12,7 +12,11 @@ Checks every Markdown page in the docs set (``README.md`` +
 * **fenced ``json`` blocks** must be valid JSON — the serve protocol
   examples are additionally round-tripped through the real codec by
   ``tests/serve/test_protocol_doc.py``;
-* **fenced ``python`` blocks** must compile.
+* **fenced ``python`` blocks** must compile;
+* **code references** — every backticked dotted ``repro.…`` name in
+  prose must resolve: the longest importable module prefix is
+  imported and the rest looked up as attributes, so docs cannot name
+  code that does not exist.
 
 Exit code 0 when clean, 1 with one line per problem otherwise.  Run it
 exactly as CI's ``docs`` job does::
@@ -22,17 +26,20 @@ exactly as CI's ``docs`` job does::
 
 from __future__ import annotations
 
+import importlib
 import json
 import re
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
 LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 IMAGE = re.compile(r"\!\[[^\]]*\]\(([^)\s]+)\)")
 HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 FENCE = re.compile(r"^```(\w*)\s*$")
+CODE_REFERENCE = re.compile(r"`(repro(?:\.\w+)+)`")
 EXTERNAL = ("http://", "https://", "mailto:")
 
 
@@ -97,6 +104,23 @@ def anchors_of(source: str) -> set[str]:
     return anchors
 
 
+def resolves(dotted: str) -> bool:
+    """Whether a dotted ``repro.…`` name exists: import the longest
+    module prefix, then look the rest up as attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
 def check_page(page: Path, anchor_cache: dict[Path, set[str]]) -> list[str]:
     source = page.read_text()
     label = page.relative_to(REPO_ROOT)
@@ -133,6 +157,9 @@ def check_page(page: Path, anchor_cache: dict[Path, set[str]]) -> list[str]:
                         problems.append(
                             f"{label}: broken anchor {target}"
                         )
+        for dotted in CODE_REFERENCE.findall(line):
+            if not resolves(dotted):
+                problems.append(f"{label}: `{dotted}` names no module or attribute")
 
     for language, start, body in blocks:
         if language == "json":
