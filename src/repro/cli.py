@@ -523,13 +523,15 @@ def cmd_explain(args: argparse.Namespace) -> int:
     attached).
 
     With ``--observed`` each step also carries the counters of one
-    profiled validation run.  That run executes these same cached
-    plans, also when a multi-rule file's full scan enumerates once per
-    group of rules sharing a pattern, so every rendered plan that ran
-    shows its counts.
+    profiled run of the plan per group of rules sharing a pattern and
+    an X-restriction — the enumerations validation's grouped scan
+    performs.  Validation runs them in pool mode over the same
+    candidate pools and order function, so the rendered order and
+    steps are the ones it executes.
     """
     from repro.deps.literals import ConstantLiteral
     from repro.matching.plan import compile_plan
+    from repro.reasoning.validation import sigma_groups
 
     graph = load_graph(args.graph)
     rules = load_rules(args.rules)
@@ -539,15 +541,17 @@ def cmd_explain(args: argparse.Namespace) -> int:
         attach_index(graph)
     observed = getattr(args, "observed", False)
     if observed:
-        # One profiled validation run populates the per-step execution
-        # counters the observed rendering annotates the plans with; the
-        # grouped multi-rule scan runs the very plans rendered below.
+        # Exhaust each Σ group's plan once under telemetry: that fills
+        # the per-step counters the observed rendering annotates the
+        # plans with (validation itself runs no view plan).
         from repro import telemetry
 
         was_enabled = telemetry.enabled()
         telemetry.enable()
         try:
-            find_violations(graph, rules)
+            for pattern, restrict, _ in sigma_groups(graph, rules):
+                for _ in compile_plan(graph, pattern).matches(restrict=restrict):
+                    pass
         finally:
             if not was_enabled:
                 telemetry.disable()
@@ -949,8 +953,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain_cmd.add_argument(
         "--observed",
         action="store_true",
-        help="run one profiled validation first and annotate each step "
-        "with its observed frame/candidate/probe counts",
+        help="run each rule group's plan once under telemetry first and "
+        "annotate each step with its observed frame/candidate/probe counts",
     )
     explain_cmd.set_defaults(func=cmd_explain)
 

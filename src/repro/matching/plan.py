@@ -50,11 +50,14 @@ validation layer derives those pools from X-literals via the attribute
 inverted index and the executor intersects them in before the search.
 
 :func:`execute_over_pools` is the view-free twin for callers that bring
-their own candidate pools over a *mutating* graph (the streaming delta
-kernel's pinned live label rows): same step programs, same executor,
-the binding order memoized per (pattern, effective pool sizes), and
+their own candidate pools: same step programs, same executor, the
+binding order memoized per (pattern, effective pool sizes), and
 adjacency rows straight from the graph's internal per-label sets, so
-no O(|G|) view build is paid per batch.
+no O(|G|) view build is paid.  Its callers are the streaming delta
+kernel (pinned live label rows over a graph that mutates every batch)
+and validation (:func:`compile_sigma`'s cached candidate pools: a
+one-shot scan would never reuse a view).  A view pays off only for
+consumers that query one unchanged graph many times.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ from repro.matching.view import GraphView, get_view
 from repro.patterns.labels import WILDCARD
 from repro.patterns.pattern import Pattern
 from repro.telemetry import metrics as _metrics
+from repro.utils.registry import WeakIdRegistry
 
 Match = dict[str, str]
 
@@ -589,11 +593,40 @@ def compile_plan(graph: Graph, pattern: Pattern) -> MatchPlan:
     return plan
 
 
-def compile_sigma(graph: Graph, patterns: Iterable[Pattern]) -> dict[Pattern, MatchPlan]:
-    """The compiled plan of each distinct pattern of a rule set, in
-    first-appearance order (every plan from :func:`compile_plan`'s
-    view cache)."""
-    return {pattern: compile_plan(graph, pattern) for pattern in dict.fromkeys(patterns)}
+# Validation's candidate pools, per graph: ``(version, {(pattern,
+# indexed): pools})``.  Identity-keyed and weak like the view registry;
+# a version bump replaces the whole entry.
+_sigma_pools: WeakIdRegistry = WeakIdRegistry()
+
+
+def compile_sigma(
+    graph: Graph, patterns: Iterable[Pattern]
+) -> dict[Pattern, dict[str, frozenset[str]]]:
+    """The candidate pools of each distinct pattern of a rule set, in
+    first-appearance order: :func:`~repro.matching.candidates.candidate_sets`,
+    frozen, and cached per (graph version, index attachment).
+
+    These are the pools a view-bound :class:`MatchPlan` interns, so
+    :func:`execute_over_pools` over them ranks the variables — and
+    emits the matches — exactly as the plan would, without building a
+    view.  Validation scans run this way.
+    """
+    entry = _sigma_pools.get(graph)
+    if entry is None or entry[0] != graph.version:
+        entry = (graph.version, {})
+        _sigma_pools.set(graph, entry)
+    cache = entry[1]
+    indexed = get_index(graph) is not None
+    compiled = {}
+    for pattern in dict.fromkeys(patterns):
+        pools = cache.get((pattern, indexed))
+        if pools is None:
+            pools = cache[(pattern, indexed)] = {
+                variable: frozenset(pool)
+                for variable, pool in candidate_sets(pattern, graph).items()
+            }
+        compiled[pattern] = pools
+    return compiled
 
 
 def _view_profile(view: GraphView, graph: Graph) -> MatchCostProfile:

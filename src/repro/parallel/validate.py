@@ -57,6 +57,7 @@ from repro.graph.graph import Graph
 from repro.indexing.registry import get_index
 from repro.matching.homomorphism import find_homomorphisms
 from repro.matching.locality import pivot_radius, split_local_pivots
+from repro.matching.plan import compile_sigma
 from repro.reasoning.validation import (
     Violation,
     evaluate_match,
@@ -195,14 +196,20 @@ def _run_sigma_batch(
     slow-plan hook does not fire (no per-rule elapsed exists).  Rules
     whose pattern cannot match keep getting no stats row, exactly like
     the zero-shard plans they replace.
+
+    Like the scan, the accounting builds no graph view: a rule's
+    ``candidates`` is its largest candidate pool (the pivot pool
+    :func:`~repro.parallel.partition.plan_pivot` would shard), read
+    from the pools the scan already cached.
     """
     started = time.perf_counter()
     buckets, match_counts = sigma_scan(graph, sigma)
     elapsed = time.perf_counter() - started
+    pools = compile_sigma(graph, [ged.pattern for ged in sigma])
     results: list[tuple[list[Violation], ShardStats]] = []
     for position, ged in enumerate(sigma):
-        _, pool = plan_pivot(ged.pattern, graph)
-        if not pool:
+        sizes = [len(pool) for pool in pools[ged.pattern].values()]
+        if not min(sizes):
             continue
         results.append(
             (
@@ -210,7 +217,7 @@ def _run_sigma_batch(
                 ShardStats(
                     ged.name or "GED",
                     0,
-                    len(pool),
+                    max(sizes),
                     match_counts[position],
                     len(buckets[position]),
                     elapsed,

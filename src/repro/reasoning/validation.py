@@ -32,7 +32,7 @@ from repro.deps.literals import (
 )
 from repro.graph.graph import Graph
 from repro.indexing.registry import get_index
-from repro.matching.plan import compile_plan, compile_sigma
+from repro.matching.plan import compile_sigma, execute_over_pools
 from repro.patterns.pattern import Pattern
 from repro.telemetry.spans import span
 
@@ -135,18 +135,19 @@ def find_violations(
     sigma: Iterable[GED],
     limit: int | None = None,
 ) -> list[Violation]:
-    """All (up to ``limit``) violations of Σ in G.
+    """All (up to ``limit``, which must be positive) violations of Σ in G.
 
-    Plan-compiled: each dependency's pattern is compiled once per
-    (graph version, index attachment) into a
-    :class:`~repro.matching.plan.MatchPlan` — shared through the view
-    registry with every other consumer of the same pattern, so repeated
-    validations of an unmutated graph pay zero recompilation.  The
-    X-literal restriction pools of :func:`x_literal_restrictions` enter
-    the plan as its attr-filter stage.  Index-aware: with a
-    :mod:`repro.indexing` index attached the compiled candidate pools
-    are the pruner's and the attr filters actually bite; the returned
-    violations are identical either way.
+    Pool mode: each dependency's pattern runs the plan executor
+    (:func:`~repro.matching.plan.execute_over_pools`) over its candidate
+    pools, straight on the graph's adjacency sets — no graph view is
+    built, since a one-shot scan would never reuse it.  The pools come
+    from :func:`~repro.matching.plan.compile_sigma`, cached per (graph
+    version, index attachment), so repeated validations of an unmutated
+    graph derive them once.  The X-literal restriction pools of
+    :func:`x_literal_restrictions` narrow them as the executor's
+    attr-filter stage.  Index-aware: with a :mod:`repro.indexing` index
+    attached the candidate pools are the pruner's and the attr filters
+    actually bite; the returned violations are identical either way.
 
     Multi-rule full scans (``limit is None``, more than one dependency)
     run **grouped** (:func:`sigma_scan`): rules sharing a pattern and an
@@ -155,7 +156,12 @@ def find_violations(
     their concatenation order — are byte-identical to the per-rule
     loop.  Limited scans keep the per-rule loop: ``validates`` stops at
     the first violation, which grouping cannot bring any sooner.
+
+    Raises :class:`ValueError` for ``limit < 1``: no violation list of
+    that length can tell a dirty graph from a clean one.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     sigma = list(sigma)
     if limit is None and len(sigma) > 1:
         with span("validate.sigma", rules=len(sigma)):
@@ -165,8 +171,8 @@ def find_violations(
     for position, ged in enumerate(sigma):
         with span("validate.dep", dep=ged.name or f"#{position}"):
             restrict = x_literal_restrictions(graph, ged)
-            plan = compile_plan(graph, ged.pattern)
-            for match in plan.matches(restrict=restrict):
+            pools = compile_sigma(graph, (ged.pattern,))[ged.pattern]
+            for match in execute_over_pools(ged.pattern, graph, pools, restrict=restrict):
                 failed = evaluate_match(graph, ged, match)
                 if failed:
                     violations.append(
@@ -211,21 +217,22 @@ def sigma_scan(
 ) -> tuple[list[list[Violation]], list[int]]:
     """The grouped full Σ scan: per-rule violation lists and match counts.
 
-    One ``plan.matches(restrict=...)`` run per :func:`sigma_groups`
-    group, with every member rule evaluated on each match.  Each rule's
-    list is exactly what its solo run yields, because a group's
-    restriction is each member's own.  Plans come from this module's
-    ``compile_sigma``, looked up at call time: the traced serve
-    benchmark (``perfbench/traced_serve.py``) wraps that name to time
-    Σ compilation.
+    One pool-mode ``execute_over_pools(..., restrict=...)`` run per
+    :func:`sigma_groups` group, with every member rule evaluated on
+    each match.  Each rule's list is exactly what its solo run yields,
+    because a group's restriction is each member's own.  Pools come
+    from this module's ``compile_sigma``, looked up at call time (by
+    both validation loops): the traced serve benchmark
+    (``perfbench/traced_serve.py``) wraps that name to time pool
+    derivation.
     """
-    plans = compile_sigma(graph, [ged.pattern for ged in sigma])
+    pools = compile_sigma(graph, [ged.pattern for ged in sigma])
     buckets: list[list[Violation]] = [[] for _ in sigma]
     counts = [0] * len(sigma)
     for pattern, restrict, members in sigma_groups(graph, sigma):
         rules = [(position, sigma[position]) for position in members]
         matched = 0
-        for match in plans[pattern].matches(restrict=restrict):
+        for match in execute_over_pools(pattern, graph, pools[pattern], restrict=restrict):
             matched += 1
             items = None
             for position, ged in rules:

@@ -110,19 +110,32 @@ class TestPlanCaching:
         finally:
             detach_index(graph)
 
-    def test_compile_sigma_shares_the_plan_cache(self):
-        """One plan per distinct pattern, in first-appearance order,
-        straight from the view cache every other consumer reads."""
+    def test_compile_sigma_caches_pools_per_version_and_index(self):
+        """One pool map per distinct pattern, in first-appearance order,
+        cached per (graph version, index attachment) — and no view."""
         graph = diamond_graph()
         edge = Pattern({"u": "user", "i": "item"}, [("u", "buys", "i")])
         loop = Pattern({"x": "shop"}, [("x", "sells", "x")])
         equal_edge = Pattern({"u": "user", "i": "item"}, [("u", "buys", "i")])
-        plans = compile_sigma(graph, [edge, loop, equal_edge, edge])
-        assert list(plans) == [edge, loop]
-        assert get_view(graph).plan_compiles == 2
-        for pattern, plan in plans.items():
-            assert plan is compile_plan(graph, pattern)
-        assert get_view(graph).plan_compiles == 2
+        pools = compile_sigma(graph, [edge, loop, equal_edge, edge])
+        assert list(pools) == [edge, loop]
+        assert pools[edge] == {"u": {"a", "b"}, "i": {"c"}}
+        assert pools[loop] == {"x": {"d"}}
+        again = compile_sigma(graph, [loop, edge])
+        assert list(again) == [loop, edge]
+        assert again[edge] is pools[edge] and again[loop] is pools[loop]
+        assert peek_view(graph) is None
+        attach_index(graph)
+        try:
+            indexed = compile_sigma(graph, [edge])[edge]
+            assert indexed is not pools[edge]
+            assert compile_sigma(graph, [edge])[edge] is indexed
+        finally:
+            detach_index(graph)
+        assert compile_sigma(graph, [edge])[edge] is pools[edge]
+        graph.set_attribute("a", "score", 2)  # version bump
+        fresh = compile_sigma(graph, [edge])[edge]
+        assert fresh is not pools[edge] and fresh == pools[edge]
 
     def test_self_loop_and_wildcard_steps(self):
         graph = diamond_graph()

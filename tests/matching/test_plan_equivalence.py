@@ -21,6 +21,7 @@ from repro.graph import random_labeled_graph
 from repro.indexing import attach_index, detach_index
 from repro.matching import count_matches, find_homomorphisms, seed_find_homomorphisms
 from repro.matching.candidates import candidate_sets
+from repro.matching.view import peek_view
 from repro.patterns import WILDCARD, Pattern
 from repro.reasoning.validation import (
     Violation,
@@ -222,17 +223,20 @@ class TestWorkloadByteIdentity:
         ids=["bounded", "shapes", "overlapping"],
     )
     def test_validation_equals_seed_interpreter(self, inputs, merges):
-        """find_violations (plan-executed) == the per-rule seed
+        """find_violations (pool-executed) == the per-rule seed
         interpretation, with and without an index — the perf gate's
         correctness half.  The shapes and overlapping sets hold literal
         variants that the grouped full scan enumerates once per group;
         with an index, the shapes set's two X-literal rules split off
-        into their own group."""
+        into their own group.  Limited scans and single rules (the
+        per-rule loop) give the seed loop's prefix and per-rule slice,
+        and no scan builds a graph view."""
         graph, sigma = inputs()
 
-        def seed_violations():
-            found = []
+        def seed_violations_per_rule():
+            per_rule = []
             for ged in sigma:
+                found = []
                 restrict = x_literal_restrictions(graph, ged)
                 for match in seed_find_homomorphisms(
                     ged.pattern, graph, restrict=restrict
@@ -242,7 +246,8 @@ class TestWorkloadByteIdentity:
                         found.append(
                             Violation(ged, tuple(sorted(match.items())), failed)
                         )
-            return found
+                per_rule.append(found)
+            return per_rule
 
         for indexed in (False, True):
             if indexed:
@@ -250,6 +255,14 @@ class TestWorkloadByteIdentity:
             try:
                 if merges:
                     assert len(sigma_groups(graph, sigma)) < len(sigma)
-                assert find_violations(graph, sigma) == seed_violations()
+                per_rule = seed_violations_per_rule()
+                seed = [violation for found in per_rule for violation in found]
+                assert len(seed) > 3
+                assert find_violations(graph, sigma) == seed
+                for k in (1, 3):
+                    assert find_violations(graph, sigma, limit=k) == seed[:k]
+                for ged, found in zip(sigma, per_rule):
+                    assert find_violations(graph, [ged]) == found
+                assert peek_view(graph) is None
             finally:
                 detach_index(graph)

@@ -8,6 +8,8 @@ from repro.deps.ged import GED
 from repro.deps.literals import ConstantLiteral, VariableLiteral
 from repro.graph.generators import random_labeled_graph
 from repro.graph.graph import Graph
+from repro.matching.view import peek_view
+from repro.parallel.partition import plan_pivot
 from repro.parallel.validate import parallel_find_violations, parallel_validates
 from repro.patterns.pattern import Pattern
 from repro.reasoning.validation import find_violations, validates
@@ -133,3 +135,23 @@ class TestMultiRule:
         names = [v.ged.name for v in report.violations]
         assert names == sorted(names)
         assert {v.ged.name for v in report.violations} == {"one-capital", "creator"}
+
+    def test_serial_sigma_batch_builds_no_graph_view(self):
+        """The one-worker serial batch scans Σ in pool mode and reads
+        its ShardStats pool sizes off the cached candidate pools: no
+        graph view is built, and the stats equal the pivot pools the
+        sharded path would plan."""
+        g = dirty_graph()
+        absent = GED(
+            Pattern({"x": "planet", "y": "city"}, [("x", "capital", "y")]),
+            [],
+            [VariableLiteral("x", "name", "y", "name")],
+            name="absent",
+        )
+        rules = [capital_rule(), absent]
+        report = parallel_find_violations(g, rules, workers=1, backend="serial")
+        assert peek_view(g) is None
+        assert report.violations == find_violations(g, rules)
+        assert [s.ged_name for s in report.stats] == ["one-capital"]  # "absent" cannot match
+        _, pool = plan_pivot(capital_rule().pattern, g)
+        assert report.stats[0].candidates == len(pool)

@@ -151,6 +151,13 @@ class TestViolationAPI:
         violations = find_violations(knowledge_graph(), [paper.phi2()], limit=1)
         assert len(violations) == 1
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_non_positive_limit_rejected(self, limit):
+        """No list of at most ``limit < 1`` violations can report a dirty
+        graph as dirty, so such a limit is an argument error."""
+        with pytest.raises(ValueError, match="limit must be >= 1"):
+            find_violations(knowledge_graph(), [paper.phi2()], limit=limit)
+
     def test_violation_reports_failed_literals(self):
         v = find_violations(knowledge_graph(), [paper.phi1()])[0]
         assert v.failed == (ConstantLiteral("y", "type", "programmer"),)

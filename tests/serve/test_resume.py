@@ -14,10 +14,12 @@ import json
 
 import pytest
 
+from repro.graph.io import UpdateLogWriter
 from repro.graph.update import apply_update_plain
+from repro.matching.view import peek_view
 from repro.reasoning import find_violations
 from repro.serve import ServeClient, ViolationServer
-from repro.streaming import canonical_report, violation_to_dict
+from repro.streaming import ViolationLedger, canonical_report, violation_to_dict
 from repro.workloads import churn_stream
 
 SEED = 25
@@ -142,6 +144,30 @@ def test_crash_and_resume_loses_and_duplicates_nothing(tmp_path, kwargs):
         return bootstrap["violations"]
 
     assert canonical(asyncio.run(phase_c())) == canonical(expected)
+
+
+def test_start_and_resume_build_no_graph_view(tmp_path):
+    """The ledger bootstrap validates in pool mode: neither a start nor
+    a recovery from the log (replay, then bootstrap) builds the O(|G|)
+    graph view, which a one-shot scan would never reuse."""
+    stream = stream_fixture()
+    graph = stream.base.copy()
+    ledger = ViolationLedger(graph, stream.sigma)
+    assert ledger.bootstrap()
+    assert peek_view(graph) is None
+
+    log = tmp_path / "updates.jsonl"
+    with UpdateLogWriter(log) as writer:
+        writer.write_base(stream.base)
+        for update in stream.updates[:CRASH_AFTER]:
+            writer.append(update)
+    server = ViolationServer.from_log(log, stream.sigma)
+    try:
+        assert server.seq == CRASH_AFTER
+        assert len(server.ledger)
+        assert peek_view(server.graph) is None
+    finally:
+        asyncio.run(server.stop(checkpoint=False))
 
 
 def test_resume_requires_base_graph_for_fresh_log(tmp_path):

@@ -53,6 +53,15 @@ class TestValidate:
               "--limit", "1"])
         assert "1 violation" in capsys.readouterr().out
 
+    def test_non_positive_limit_is_a_usage_error(self, kb_files, capsys):
+        graph_path, rules_path = kb_files
+        code = main(["validate", "--graph", str(graph_path), "--rules", str(rules_path),
+                     "--limit", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "violation(s)" not in captured.out
+        assert "limit must be >= 1" in captured.err
+
 
 class TestSatisfiable:
     def test_satisfiable_rules(self, tmp_path, capsys):
