@@ -23,7 +23,6 @@ lets both its index and its pool be collected.
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
 import weakref
 from collections.abc import Sequence
@@ -56,14 +55,9 @@ _WORKER_GRAPH: Graph | None = None
 # streaming delta path's rule set) — shipped once per worker instead of
 # once per task.
 _WORKER_EXTRA = None
-# The pool's start-up barrier (see :func:`_join_pool`).
-_WORKER_BARRIER = None
-
-#: Seconds a worker waits at the start-up barrier for its peers.
-_JOIN_TIMEOUT_S = 60.0
 
 
-def _initialize_worker(payload: bytes, extra_payload: bytes | None = None, barrier=None) -> None:
+def _initialize_worker(payload: bytes, extra_payload: bytes | None = None) -> None:
     """Pool initializer: rebuild graph (+ index + plans) from the broadcast.
 
     Compiled match plans memoize automatically from here on: the worker
@@ -75,20 +69,10 @@ def _initialize_worker(payload: bytes, extra_payload: bytes | None = None, barri
     """
     import pickle
 
-    global _WORKER_GRAPH, _WORKER_EXTRA, _WORKER_BARRIER
+    global _WORKER_GRAPH, _WORKER_EXTRA
     snapshot: GraphSnapshot = pickle.loads(payload)
     _WORKER_GRAPH = snapshot.restore()
     _WORKER_EXTRA = pickle.loads(extra_payload) if extra_payload is not None else None
-    _WORKER_BARRIER = barrier
-
-
-def _join_pool() -> None:
-    """Pool start-up task: return once every worker of the pool runs one.
-
-    A worker waiting here cannot take a second such task, so when all
-    of them have returned, every worker has restored its snapshot.
-    """
-    _WORKER_BARRIER.wait(timeout=_JOIN_TIMEOUT_S)
 
 
 def _worker_graph() -> Graph:
@@ -285,14 +269,8 @@ class EnginePool:
         self._executor = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_initialize_worker,
-            initargs=(payload, extra_payload, multiprocessing.Barrier(workers)),
+            initargs=(payload, extra_payload),
         )
-        # Start every worker and wait until each has restored the
-        # snapshot.  Otherwise the first dispatch goes to whichever
-        # worker comes up first, and it can run every task of a batch
-        # while the others are still starting.
-        for future in [self._executor.submit(_join_pool) for _ in range(workers)]:
-            future.result()
 
     # -- generic dispatch ----------------------------------------------
     def _map(self, fn, argument_tuples: Sequence[tuple]) -> list:

@@ -56,8 +56,7 @@ adjacency rows straight from the graph's internal per-label sets, so
 no O(|G|) view build is paid.  Its callers are the streaming delta
 kernel (pinned live label rows over a graph that mutates every batch)
 and validation (:func:`compile_sigma`'s cached candidate pools: a
-one-shot scan would never reuse a view).  A view pays off only for
-consumers that query one unchanged graph many times.
+one-shot scan would never reuse a view).
 """
 
 from __future__ import annotations
@@ -629,6 +628,16 @@ def compile_sigma(
     return compiled
 
 
+def release_sigma_pools(graph: Graph) -> None:
+    """Drop ``graph``'s cached validation pools.
+
+    For a caller that scans a graph once and then mutates it (a ledger
+    bootstrap): the entry would otherwise stay, never read again, until
+    the next :func:`compile_sigma` call on that graph.
+    """
+    _sigma_pools.pop(graph)
+
+
 def _view_profile(view: GraphView, graph: Graph) -> MatchCostProfile:
     """The view's cost profile, computed once per (graph, version) —
     not once per pattern (one full node+edge pass either way)."""
@@ -794,4 +803,5 @@ __all__ = [
     "execute_over_pools",
     "install_plan",
     "program_cache_info",
+    "release_sigma_pools",
 ]

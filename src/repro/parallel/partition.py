@@ -17,6 +17,7 @@ counters in :mod:`repro.parallel.validate` expose that skew.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.graph.graph import Graph
@@ -56,15 +57,24 @@ def plan_pivot(pattern: Pattern, graph: Graph) -> tuple[str, list[str]]:
     Canonical interning makes ascending slot order equal ascending id
     order, so no sort is paid.  When any variable's pool is empty the
     pattern cannot match: the returned pool is empty and the pivot is
-    the (first) emptiest variable.
+    the (first) emptiest variable (:func:`choose_pivot`).
     """
     plan = compile_plan(graph, pattern)
-    sizes = {variable: len(plan.pools_sorted[variable]) for variable in pattern.variables}
-    if any(size == 0 for size in sizes.values()):
-        return min(pattern.variables, key=lambda v: sizes[v]), []
-    pivot = max(pattern.variables, key=lambda v: sizes[v])
+    pools = plan.pools_sorted
+    sizes = {variable: len(pools[variable]) for variable in pattern.variables}
+    pivot = choose_pivot(pattern, sizes)
     node_of = plan.view.node_of
-    return pivot, [node_of[slot] for slot in plan.pools_sorted[pivot]]
+    return pivot, [node_of[slot] for slot in pools[pivot]]
+
+
+def choose_pivot(pattern: Pattern, sizes: Mapping[str, int]) -> str:
+    """The pivot for per-variable candidate-pool sizes: the (first)
+    largest pool.  When any pool is empty the pattern cannot match and
+    the pivot is the (first) emptiest variable, so a pivot pool of size
+    0 tells every caller the pattern has no match."""
+    if any(size == 0 for size in sizes.values()):
+        return min(pattern.variables, key=lambda v: sizes[v])
+    return max(pattern.variables, key=lambda v: sizes[v])
 
 
 def plan_shards(pattern: Pattern, graph: Graph, workers: int) -> ShardPlan:
@@ -85,4 +95,4 @@ def plan_shards(pattern: Pattern, graph: Graph, workers: int) -> ShardPlan:
     return ShardPlan(pattern, pivot, tuple(tuple(block) for block in blocks))
 
 
-__all__ = ["ShardPlan", "plan_pivot", "plan_shards"]
+__all__ = ["ShardPlan", "choose_pivot", "plan_pivot", "plan_shards"]

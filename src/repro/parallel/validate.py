@@ -57,7 +57,6 @@ from repro.graph.graph import Graph
 from repro.indexing.registry import get_index
 from repro.matching.homomorphism import find_homomorphisms
 from repro.matching.locality import pivot_radius, split_local_pivots
-from repro.matching.plan import compile_sigma
 from repro.reasoning.validation import (
     Violation,
     evaluate_match,
@@ -67,7 +66,7 @@ from repro.reasoning.validation import (
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import slowlog as _slowlog
 from repro.telemetry.spans import span
-from repro.parallel.partition import plan_pivot, plan_shards
+from repro.parallel.partition import choose_pivot, plan_pivot, plan_shards
 
 _BACKENDS = ("serial", "thread", "process", "engine", "fragment")
 
@@ -198,18 +197,19 @@ def _run_sigma_batch(
     the zero-shard plans they replace.
 
     Like the scan, the accounting builds no graph view: a rule's
-    ``candidates`` is its largest candidate pool (the pivot pool
-    :func:`~repro.parallel.partition.plan_pivot` would shard), read
-    from the pools the scan already cached.
+    ``candidates`` is the size of the pivot pool
+    :func:`~repro.parallel.partition.plan_pivot` would shard, chosen by
+    the same :func:`~repro.parallel.partition.choose_pivot` over the
+    pools the scan ran on.
     """
     started = time.perf_counter()
-    buckets, match_counts = sigma_scan(graph, sigma)
+    buckets, match_counts, pools = sigma_scan(graph, sigma)
     elapsed = time.perf_counter() - started
-    pools = compile_sigma(graph, [ged.pattern for ged in sigma])
     results: list[tuple[list[Violation], ShardStats]] = []
     for position, ged in enumerate(sigma):
-        sizes = [len(pool) for pool in pools[ged.pattern].values()]
-        if not min(sizes):
+        sizes = {variable: len(pool) for variable, pool in pools[ged.pattern].items()}
+        candidates = sizes[choose_pivot(ged.pattern, sizes)]
+        if not candidates:
             continue
         results.append(
             (
@@ -217,7 +217,7 @@ def _run_sigma_batch(
                 ShardStats(
                     ged.name or "GED",
                     0,
-                    max(sizes),
+                    candidates,
                     match_counts[position],
                     len(buckets[position]),
                     elapsed,

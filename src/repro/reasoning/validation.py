@@ -165,7 +165,7 @@ def find_violations(
     sigma = list(sigma)
     if limit is None and len(sigma) > 1:
         with span("validate.sigma", rules=len(sigma)):
-            buckets, _ = sigma_scan(graph, sigma)
+            buckets, _, _ = sigma_scan(graph, sigma)
         return [violation for bucket in buckets for violation in bucket]
     violations: list[Violation] = []
     for position, ged in enumerate(sigma):
@@ -214,8 +214,9 @@ def sigma_groups(
 
 def sigma_scan(
     graph: Graph, sigma: "Sequence[GED]"
-) -> tuple[list[list[Violation]], list[int]]:
-    """The grouped full Σ scan: per-rule violation lists and match counts.
+) -> tuple[list[list[Violation]], list[int], dict[Pattern, dict[str, frozenset[str]]]]:
+    """The grouped full Σ scan: per-rule violation lists and match
+    counts, and the candidate pools it ran on (per distinct pattern).
 
     One pool-mode ``execute_over_pools(..., restrict=...)`` run per
     :func:`sigma_groups` group, with every member rule evaluated on
@@ -243,7 +244,7 @@ def sigma_scan(
                     buckets[position].append(Violation(ged, items, failed))
         for position in members:
             counts[position] = matched
-    return buckets, counts
+    return buckets, counts, pools
 
 
 def validates(graph: Graph, sigma: Iterable[GED], **_ignored) -> bool:

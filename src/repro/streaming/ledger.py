@@ -35,6 +35,7 @@ from repro.deps.ged import GED
 from repro.graph.graph import Graph
 from repro.graph.update import GraphUpdate
 from repro.matching.homomorphism import is_homomorphism
+from repro.matching.plan import release_sigma_pools
 from repro.reasoning.validation import Violation, evaluate_match, find_violations
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import spans as _spans
@@ -191,6 +192,9 @@ class ViolationLedger:
         for violation in find_violations(self.graph, self.sigma):
             key = (self._position[id(violation.ged)], violation.match)
             self._insert(key, violation)
+        # From here on the ledger follows the graph by deltas; no later
+        # scan reads this version's pools.
+        release_sigma_pools(self.graph)
         return self.violations()
 
     def refresh(self, update: GraphUpdate) -> StreamDelta:

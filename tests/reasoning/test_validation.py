@@ -191,7 +191,7 @@ class TestSigmaScan:
         if indexed:
             attach_index(graph)
         try:
-            buckets, counts = sigma_scan(graph, sigma)
+            buckets, counts, _ = sigma_scan(graph, sigma)
             for position, ged in enumerate(sigma):
                 restrict = x_literal_restrictions(graph, ged)
                 stream = list(compile_plan(graph, ged.pattern).matches(restrict=restrict))

@@ -136,6 +136,21 @@ class TestSerialProperty:
         assert delta.is_empty()
         assert delta.rechecked == 0
 
+    def test_bootstrap_keeps_no_validation_pools(self):
+        """The bootstrap scan is the only one the ledger runs: the
+        candidate pools it cached are dropped, so a long-lived ledger
+        holds no pools of a graph version it has already moved past."""
+        from repro.matching import plan
+
+        stream = churn_stream(n_nodes=40, batches=2, rng=3)
+        graph = stream.base.copy()
+        ledger = ViolationLedger(graph, stream.sigma)
+        ledger.bootstrap()
+        assert graph not in plan._sigma_pools
+        ledger.refresh(stream.updates[0])
+        assert graph not in plan._sigma_pools
+        assert_ledger_equals_full(ledger, graph, stream.sigma)
+
 
 class TestEngineBackend:
     """The engine-pooled delta path (process workers: a few fixed seeds

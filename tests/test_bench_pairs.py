@@ -110,6 +110,41 @@ def test_summarize_only_exits_nonzero_on_a_bad_run(tmp_path, capsys):
     assert bench_pairs.main(argv) == 0
     assert "setup_s" in capsys.readouterr().out
     with out.open("a") as handle:
-        handle.write(json.dumps(row(12, "change", failed=1, setup_s=0.5)) + "\n")
+        handle.write(json.dumps(row(13, "change", failed=1, setup_s=0.5)) + "\n")
     assert bench_pairs.main(argv) == 1
-    assert "BAD RUN: seed 12 change" in capsys.readouterr().out
+    assert "BAD RUN: seed 13 change" in capsys.readouterr().out
+
+
+def test_reruns_and_mixed_settings_are_not_paired(tmp_path, capsys):
+    """A rerun appended to the same file, or runs of another length,
+    would silently replace or mix into the pairs: nothing is summarized."""
+    assert bench_pairs.mixed_rows(pairs([1.0, 1.0], [0.5, 0.5], "setup_s")) == []
+    rerun = pairs([1.0, 1.0], [0.5, 0.5], "setup_s") + [row(12, "change", setup_s=0.1)]
+    assert bench_pairs.mixed_rows(rerun) == ["seed 12 change ran more than once"]
+    short = [dict(r, seconds=30.0, trace=0) for r in pairs([1.0], [0.5], "setup_s")]
+    short += [dict(r, seconds=10.0, trace=0) for r in pairs([1.0], [0.5], "setup_s")[:1]]
+    short[-1]["seed"] = 12
+    (problem,) = bench_pairs.mixed_rows(short)
+    assert problem.startswith("mixed run settings")
+
+    out = tmp_path / "pairs.jsonl"
+    out.write_text("".join(json.dumps(r) + "\n" for r in rerun))
+    argv = ["--parent", str(tmp_path), "--change", str(REPO_ROOT), "--workload", "w",
+            "--out", str(out), "--summarize-only"]
+    assert bench_pairs.main(argv) == 2
+    printed = capsys.readouterr().out
+    assert "CANNOT PAIR: seed 12 change ran more than once" in printed
+    assert "setup_s" not in printed
+
+
+def test_seconds_default_to_the_benchmark_run_length(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(bench_pairs, "run_pairs", lambda *args: ran.append(args))
+    out = tmp_path / "pairs.jsonl"
+    out.write_text("")
+    argv = ["--parent", str(tmp_path), "--change", str(REPO_ROOT), "--workload", "w",
+            "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    benchmark = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    ((_, _, _, _, seconds, _, _, _),) = ran
+    assert seconds == benchmark["run_seconds"]

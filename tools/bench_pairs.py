@@ -9,10 +9,16 @@ Usage (from any directory; each tree is a checkout with ``BENCHMARK.json``)::
 For every seed the benchmark command of ``BENCHMARK.json`` runs once in
 each tree (``--workload W --seed S --seconds T --trace 0|1``), and which
 tree runs first alternates from seed to seed, so drift on a shared host
-hits both sides alike.  Each run's final JSON line is appended to
-``--out`` as ``{"workload", "seed", "side", "exit", "result"}`` as soon
-as it finishes.  ``--summarize-only`` re-reads an existing ``--out``
-file instead of running anything.
+hits both sides alike.  ``--seconds`` defaults to ``run_seconds`` of
+``BENCHMARK.json``.  Each run's final JSON line is appended to
+``--out`` as ``{"workload", "seed", "side", "seconds", "trace", "exit",
+"result"}`` as soon as it finishes.  ``--summarize-only`` re-reads an
+existing ``--out`` file instead of running anything.
+
+The rows of one workload must hold one run per (seed, side) and one
+run setting (``seconds``, ``trace``): a rerun appended to the same file,
+or runs of different lengths, would otherwise mix into one summary.
+Such rows are reported and nothing is summarized (exit 2).
 
 The summary prints, per metric, each side's median and quartiles and
 the number of pairs the change won; a tie counts for neither side.  A
@@ -26,7 +32,8 @@ metric's direction and bound come from the change tree's
   than the metric's bound (a fraction of the parent's median).
 
 Exit 1 when any run was not correct (``correct`` false, ``failed`` > 0,
-a non-zero exit or no JSON line), else 0.
+a non-zero exit or no JSON line), 2 when the rows cannot be paired,
+else 0.
 """
 
 from __future__ import annotations
@@ -93,10 +100,27 @@ def run_pairs(
                         "--seconds", str(seconds), "--trace", str(trace)]
                 code, result = run_once(trees[side], command, args)
                 row = {"workload": workload, "seed": seed, "side": side,
-                       "exit": code, "result": result}
+                       "seconds": seconds, "trace": trace, "exit": code, "result": result}
                 handle.write(json.dumps(row) + "\n")
                 handle.flush()
                 print(f"seed {seed} {side}: exit {code}", file=sys.stderr)
+
+
+def mixed_rows(rows: list[dict]) -> list[str]:
+    """Why ``rows`` cannot be summarized as one set of pairs: a (seed,
+    side) that ran more than once, or more than one run setting."""
+    problems = []
+    seen: set[tuple[int, str]] = set()
+    for row in rows:
+        key = (row["seed"], row["side"])
+        if key in seen:
+            problems.append(f"seed {key[0]} {key[1]} ran more than once")
+        seen.add(key)
+    settings = sorted({(row.get("seconds"), row.get("trace")) for row in rows}, key=repr)
+    if len(settings) > 1:
+        problems.append("mixed run settings (seconds, trace): "
+                        + ", ".join(map(str, settings)))
+    return problems
 
 
 def bad_runs(rows: list[dict]) -> list[dict]:
@@ -183,7 +207,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="the changed tree")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("11-20"))
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float,
+                        help="run length (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, required=True, help="JSONL file to append to")
     parser.add_argument("--summarize-only", action="store_true",
@@ -191,11 +216,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    if args.seconds is None:
+        args.seconds = float(benchmark["run_seconds"])
     if not args.summarize_only:
         run_pairs(args.parent, args.change, args.workload, args.seeds, args.seconds,
                   args.trace, args.out, benchmark["command"])
     rows = [json.loads(line) for line in args.out.read_text().splitlines() if line.strip()]
     rows = [row for row in rows if row["workload"] == args.workload]
+    problems = mixed_rows(rows)
+    for problem in problems:
+        print(f"CANNOT PAIR: {problem}")
+    if problems:
+        return 2
     print(format_summary(summarize(rows, metric_specs(benchmark))))
     bad = bad_runs(rows)
     for row in bad:
