@@ -53,6 +53,8 @@ def test_clear_gain_is_a_claim():
     assert s["parent"][1] == 0.215 and s["change"][1] == 0.13
     assert s["claim"] and not s["worse"]
     assert "claim" in bench_pairs.format_summary([s])
+    nine = summary_of(pairs(parent[:9], change[:8] + [0.12], "setup_s"), "setup_s")
+    assert nine["wins"] == 9 and not nine["claim"]  # too few pairs to claim
 
 
 def test_ties_count_for_neither_side_and_spoil_the_claim():

@@ -25,9 +25,9 @@ the number of pairs the change won; a tie counts for neither side.  A
 metric's direction and bound come from the change tree's
 ``BENCHMARK.json`` (read, never written).  Two flags:
 
-* ``claim`` — the change won at least 9 of every 10 pairs, and its
-  median beats the parent's by more than the parent's interquartile
-  range;
+* ``claim`` — at least 10 pairs ran, the change won at least 9 of
+  every 10 of them, and its median beats the parent's by more than the
+  parent's interquartile range;
 * ``WORSE`` — the change's median is worse than the parent's by more
   than the metric's bound (a fraction of the parent's median).
 
@@ -46,6 +46,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+#: Fewer pairs than this never make a claim, however one-sided.
+MIN_CLAIM_PAIRS = 10
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -182,7 +184,9 @@ def summarize(rows: list[dict], specs: dict[str, dict]) -> list[dict]:
             "change": change,
             "wins": wins,
             "pairs": len(pairs),
-            "claim": wins * 10 >= 9 * len(pairs) and gain > parent[2] - parent[0],
+            "claim": len(pairs) >= MIN_CLAIM_PAIRS
+            and wins * 10 >= 9 * len(pairs)
+            and gain > parent[2] - parent[0],
             "worse": bound is not None and -gain > bound * abs(parent[1]),
         })
     return summaries
