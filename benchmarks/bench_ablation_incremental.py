@@ -1,9 +1,10 @@
 """Ablation: incremental validation vs. full re-validation.
 
-DESIGN.md's "practical special cases" engineering claim: a violation
+The "practical special cases" engineering claim: a violation
 introduced by an update must touch the update's neighborhood, so
 re-enumerating only matches through touched nodes is sound — and its
-cost tracks the *update*, not the graph.
+cost tracks the *update*, not the graph.  The incremental side is the
+streaming delta kernel, :func:`repro.streaming.delta.delta_violations`.
 
 The bench streams single-country updates into a growing capitals KB
 and measures detection cost both ways.  The shape claim is the
@@ -16,9 +17,11 @@ import pytest
 from repro.deps.ged import GED
 from repro.deps.literals import VariableLiteral
 from repro.graph.graph import Graph
+from repro.graph.update import GraphUpdate
+from repro.indexing.maintenance import apply_update_indexed
 from repro.patterns.pattern import Pattern
-from repro.reasoning.incremental import GraphUpdate, apply_update, incremental_violations
 from repro.reasoning.validation import find_violations
+from repro.streaming.delta import delta_violations
 
 SIZES = [50, 200, 800]
 
@@ -55,7 +58,7 @@ def dirty_update(n: int) -> GraphUpdate:
 @pytest.mark.parametrize("n", SIZES)
 def test_full_revalidation_after_update(benchmark, n):
     g = base_graph(n)
-    apply_update(g, dirty_update(n))
+    apply_update_indexed(g, dirty_update(n))
     rules = [capital_rule()]
 
     violations = benchmark(lambda: find_violations(g, rules))
@@ -67,13 +70,14 @@ def test_full_revalidation_after_update(benchmark, n):
 def test_incremental_validation_after_update(benchmark, n):
     g = base_graph(n)
     update = dirty_update(n)
-    apply_update(g, update)
+    apply_update_indexed(g, update)
     rules = [capital_rule()]
+    touched = update.touched_nodes()
 
-    violations = benchmark(lambda: incremental_violations(g, rules, update))
+    violations = benchmark(lambda: delta_violations(g, rules, touched))
     assert violations
     benchmark.extra_info["graph_nodes"] = g.num_nodes
-    benchmark.extra_info["touched"] = len(update.touched_nodes())
+    benchmark.extra_info["touched"] = len(touched)
 
 
 def test_shape_incremental_finds_same_new_violations():
@@ -84,11 +88,11 @@ def test_shape_incremental_finds_same_new_violations():
         g = base_graph(n)
         before = {v.match for v in find_violations(g, rules)}
         update = dirty_update(n)
-        apply_update(g, update)
+        apply_update_indexed(g, update)
         after = {v.match for v in find_violations(g, rules)}
         new_full = after - before
         new_incremental = {
-            v.match for v in incremental_violations(g, rules, update)
+            v.match for _, v in delta_violations(g, rules, update.touched_nodes())
         }
         assert new_full <= new_incremental  # complete for new violations
         assert new_incremental <= after  # sound: every report is real

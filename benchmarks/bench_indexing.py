@@ -21,6 +21,7 @@ Run with::
 """
 
 
+from repro.graph.update import GraphUpdate
 from repro.indexing import (
     IndexMaintenance,
     attach_index,
@@ -29,7 +30,6 @@ from repro.indexing import (
 )
 from repro.matching import candidate_sets
 from repro.reasoning import find_violations
-from repro.reasoning.incremental import GraphUpdate
 from repro.workloads import bounded_rule_set, validation_workload
 
 WORKLOAD_SIZE = 400

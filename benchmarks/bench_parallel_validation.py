@@ -13,7 +13,14 @@ match space exactly, so the relevant shape claims are:
 * total matches across shards equals the unsharded count (no work
   inflation from sharding).
 
-Wall time: the serial backend is the reference; the ``engine`` backend
+The shape claims are measured on the shards themselves:
+:func:`~repro.parallel.partition.plan_shards` splits each dependency's
+pivot pool and :func:`~repro.parallel.validate.run_shard` runs each
+shard in-process — the (dependency, shard) units an ``engine`` worker
+runs.
+
+Wall time: the serial backend (one grouped Σ scan) is the reference;
+the ``engine`` backend
 (persistent worker pool, one-time snapshot broadcast, warm workers
 holding graph + index + candidate caches — see :mod:`repro.engine`)
 is benchmarked against it per worker count.  The CI perf gate
@@ -25,7 +32,8 @@ import pytest
 
 from repro.engine import shutdown_pools
 from repro.indexing import attach_index
-from repro.parallel import parallel_find_violations
+from repro.parallel import parallel_find_violations, plan_shards
+from repro.parallel.validate import run_shard
 from repro.reasoning import find_violations
 from repro.workloads import bounded_rule_set, validation_workload
 
@@ -50,19 +58,28 @@ def indexed_workload():
     shutdown_pools()
 
 
-@pytest.mark.parametrize("workers", WORKERS)
-def test_sharded_validation_scaling(benchmark, workload, workers):
-    """Max-shard work shrinks as the worker count grows."""
+def run_sharded(graph, sigma, workers):
+    """Every (dependency, shard) unit for ``workers``, run in-process:
+    the merged violations and one ``ShardStats`` per shard."""
+    violations = []
+    stats = []
+    for ged in sigma:
+        plan = plan_shards(ged.pattern, graph, workers)
+        for index, shard in enumerate(plan.shards):
+            shard_violations, shard_stats = run_shard(graph, ged, plan.pivot, shard, index)
+            violations.extend(shard_violations)
+            stats.append(shard_stats)
+    return violations, stats
+
+
+def test_serial_validation_wall_clock(benchmark, workload):
+    """The serial backend's one grouped Σ scan: the reference the
+    engine sweep below is timed against."""
     graph, sigma = workload
 
-    report = benchmark(
-        lambda: parallel_find_violations(graph, sigma, workers=workers, backend="serial")
-    )
-    max_shard = max((s.matches for s in report.stats), default=0)
-    benchmark.extra_info["workers"] = workers
+    report = benchmark(lambda: parallel_find_violations(graph, sigma, backend="serial"))
     benchmark.extra_info["total_matches"] = report.total_matches()
-    benchmark.extra_info["max_shard_matches"] = max_shard
-    benchmark.extra_info["balance"] = round(report.balance(), 3)
+    benchmark.extra_info["violations"] = len(report.violations)
 
 
 def test_shape_speedup_with_workers(workload):
@@ -75,10 +92,10 @@ def test_shape_speedup_with_workers(workload):
     totals = {}
     max_shards = {}
     for workers in WORKERS:
-        report = parallel_find_violations(graph, sigma, workers=workers)
-        assert len(report.violations) == reference
-        totals[workers] = report.total_matches()
-        max_shards[workers] = max((s.matches for s in report.stats), default=0)
+        violations, stats = run_sharded(graph, sigma, workers)
+        assert len(violations) == reference
+        totals[workers] = sum(s.matches for s in stats)
+        max_shards[workers] = max((s.matches for s in stats), default=0)
 
     assert len(set(totals.values())) == 1, "sharding must not change total work"
     assert max_shards[8] * 4 <= max_shards[1] * 1.5, (

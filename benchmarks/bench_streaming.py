@@ -31,8 +31,8 @@ for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
         sys.path.insert(0, entry)
 
 from repro.indexing import attach_index  # noqa: E402
+from repro.indexing.maintenance import apply_update_indexed  # noqa: E402
 from repro.reasoning import find_violations  # noqa: E402
-from repro.reasoning.incremental import apply_update  # noqa: E402
 from repro.streaming import (  # noqa: E402
     ViolationLedger,
     canonical_report,
@@ -93,7 +93,7 @@ def run_streaming_bench(
         ledger_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
-        apply_update(full_graph, update)
+        apply_update_indexed(full_graph, update)
         full_report = find_violations(full_graph, stream.sigma)
         full_seconds = time.perf_counter() - started
 

@@ -19,11 +19,12 @@ Seven gates, all against thresholds committed in
   multi-rule validation speedup or the discovery support-counting
   speedup drops below its floor (both ≥ 2x).  Emits
   ``BENCH_discovery.json``.
-* **engine** — wall-clock for every validation backend over a worker
-  sweep on the committed reference workload, asserting the violation
-  reports are byte-identical across backends; fails when the warm
-  engine's speedup over the serial backend drops below its floor.
-  Emits ``BENCH_engine.json``.
+* **engine** — wall-clock for the serial backend, the warm engine
+  over a worker sweep, and a private one-shot engine pool on the
+  committed reference workload, asserting the violation reports are
+  byte-identical; fails when the warm engine's speedup over the serial
+  backend or over the one-shot pool drops below its floor.  Emits
+  ``BENCH_engine.json``.
 * **streaming** — per-batch ledger maintenance
   (:class:`repro.streaming.ViolationLedger`) versus full revalidation
   on the committed churn workload (the kernel of
@@ -73,6 +74,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -97,7 +99,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-gate", action="store_true", help="measure and emit, never fail")
     args = parser.parse_args(argv)
 
-    from repro.engine import get_pool, pool_for, shutdown_pools
+    from repro.engine import EnginePool, get_pool, plan_tasks, pool_for, shutdown_pools
+    from repro.engine.snapshot import snapshot_graph
     from repro.indexing import attach_index, detach_index
     from repro.parallel import parallel_find_violations
     from repro.workloads import bounded_rule_set, validation_workload
@@ -203,34 +206,33 @@ def main(argv: list[str] | None = None) -> int:
     records: list[dict] = []
     reports: dict[str, object] = {}
 
-    def run(backend: str, workers: int, label: str, reps: int = repeats):
+    def run(backend: str, workers: int, label: str):
         wall, report = measure(
             lambda: parallel_find_violations(graph, sigma, workers=workers, backend=backend),
-            reps,
+            repeats,
         )
         records.append(
             {
                 "backend": backend,
                 "label": label,
-                "workers": workers,
+                "workers": report.workers,
                 "wall_s": wall,
                 "violations": len(report.violations),
                 "matches": report.total_matches(),
                 "indexed": report.indexed,
             }
         )
-        reports[f"{label}@{workers}"] = report
-        print(f"  {label:<22} workers={workers}  {wall * 1000:8.2f} ms")
+        reports[f"{label}@{report.workers}"] = report
+        print(f"  {label:<22} workers={report.workers}  {wall * 1000:8.2f} ms")
         return wall
 
     print(f"workload: validation_workload({workload['nodes']}, rng={workload['rng']})")
     print(f"repeats:  best of {repeats}")
 
+    # Serial runs one grouped Σ scan whatever the worker count (its
+    # report says one worker).
     detach_index(graph)
-    serial_by_workers = {}
-    for workers in (1, 2, gate_workers, 8):
-        serial_by_workers[workers] = run("serial", workers, "serial (unindexed)")
-    thread_wall = run("thread", gate_workers, "thread (unindexed)")
+    serial_wall = run("serial", gate_workers, "serial (unindexed)")
 
     attach_index(graph)
     serial_indexed = run("serial", gate_workers, "serial (indexed)")
@@ -258,7 +260,35 @@ def main(argv: list[str] | None = None) -> int:
     for workers in (2, gate_workers, 8):
         parallel_find_violations(graph, sigma, workers=workers, backend="engine")  # warm
         engine_by_workers[workers] = run("engine", workers, "engine (warm)")
-    process_wall = run("process", gate_workers, "process (one-shot)", reps=3)
+
+    # What the warm pool amortizes: a private pool per call (snapshot,
+    # start-up broadcast, one validation, close).
+    def one_shot():
+        cold_pool = EnginePool(
+            snapshot_graph(graph, patterns=[ged.pattern for ged in sigma]), gate_workers
+        )
+        try:
+            units = plan_tasks(graph, sigma, gate_workers)
+            return cold_pool.validate_units(units), cold_pool.indexed
+        finally:
+            cold_pool.close()
+
+    one_shot_wall, (shard_results, one_shot_indexed) = measure(one_shot, 3)
+    one_shot_violations = [v for found, _ in shard_results for v in found]
+    records.append(
+        {
+            "backend": "engine",
+            "label": "engine (one-shot pool)",
+            "workers": gate_workers,
+            "wall_s": one_shot_wall,
+            "violations": len(one_shot_violations),
+            "matches": sum(stats.matches for _, stats in shard_results),
+            "indexed": one_shot_indexed,
+        }
+    )
+    print(
+        f"  {'engine (one-shot pool)':<22} workers={gate_workers}  {one_shot_wall * 1000:8.2f} ms"
+    )
 
     pool = get_pool(graph, gate_workers)
     broadcast_bytes = pool.broadcast_bytes
@@ -268,20 +298,20 @@ def main(argv: list[str] | None = None) -> int:
     # ------------------------------------------------------------------
     # Correctness: every backend's report must be identical.
     # ------------------------------------------------------------------
-    reference = reports[f"serial (unindexed)@{gate_workers}"].violations
+    reference = reports["serial (unindexed)@1"].violations
     mismatched = [key for key, report in reports.items() if report.violations != reference]
+    if Counter(one_shot_violations) != Counter(reference):
+        mismatched.append("engine (one-shot pool)")
     if mismatched:
         print(f"FAIL: backends diverged from serial: {mismatched}", file=sys.stderr)
         return 1
     print(f"violations: {len(reference)} — identical across all backends")
 
-    serial_wall = serial_by_workers[gate_workers]
     engine_wall = engine_by_workers[gate_workers]
     speedups = {
         "engine_warm_vs_serial": serial_wall / engine_wall,
         "engine_warm_vs_serial_indexed": serial_indexed / engine_wall,
-        "engine_warm_vs_thread": thread_wall / engine_wall,
-        "engine_warm_vs_process_cold": process_wall / engine_wall,
+        "engine_warm_vs_process_cold": one_shot_wall / engine_wall,
     }
     for name, value in speedups.items():
         print(f"  {name}: {value:.2f}x")

@@ -11,7 +11,7 @@ Operates on JSON files in the formats of :mod:`repro.graph.io` and
     python -m repro.cli repair --graph kb.json --rules rules.json -o clean.json
     python -m repro.cli discover --graph kb.json --min-support 3 -o rules.json
     python -m repro.cli cover --rules rules.json -o cover.json
-    python -m repro.cli pvalidate --graph kb.json --rules rules.json --workers 4
+    python -m repro.cli pvalidate --graph kb.json --rules rules.json --backend engine --workers 4
     python -m repro.cli pvalidate --graph kb.json --rules rules.json --backend fragment
     python -m repro.cli partition --graph kb.json --fragments 4 --mode greedy
     python -m repro.cli index --graph kb.json [--rules rules.json]
@@ -704,6 +704,20 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _validation_backend(name: str) -> str:
+    """``--backend`` of ``pvalidate`` and ``stats``: a name from
+    :mod:`repro.parallel.validate`'s backend tuple.  Imported here, not
+    at module level, so ``serve`` and the other commands start without
+    loading the parallel package."""
+    from repro.parallel.validate import _BACKENDS
+
+    if name not in _BACKENDS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(_BACKENDS)})"
+        )
+    return name
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse CLI definition (one sub-command per pipeline stage)."""
     parser = argparse.ArgumentParser(
@@ -782,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     pvalidate_cmd.add_argument("--workers", type=int, default=2)
     pvalidate_cmd.add_argument(
         "--backend",
-        choices=["serial", "thread", "process", "engine", "fragment"],
+        type=_validation_backend,
         default="serial",
     )
     pvalidate_cmd.add_argument(
@@ -998,7 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats_cmd.add_argument("--workers", type=int, default=2)
     stats_cmd.add_argument(
         "--backend",
-        choices=["serial", "thread", "process", "engine", "fragment"],
+        type=_validation_backend,
         default="fragment",
     )
     stats_cmd.add_argument(

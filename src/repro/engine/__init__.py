@@ -20,9 +20,8 @@ discovery, and repair suggestion:
   (dependency, shard) units referenced by ids, cost-estimated from the
   index's degree counters, ordered largest-first (LPT).
 
-Consumers: ``parallel_find_violations`` routes its ``process`` backend
-through a one-shot pool and offers a ``engine`` backend that keeps the
-pool warm; :func:`repro.discovery.patterns.enumerate_candidate_patterns`
+Consumers: ``parallel_find_violations``'s ``engine`` backend keeps
+the pool warm; :func:`repro.discovery.patterns.enumerate_candidate_patterns`
 and :func:`repro.repair.suggest.suggest_repairs_batch` take a
 ``workers`` argument; ``repro.cli engine`` exposes the runtime
 standalone.  Serial paths everywhere remain the deterministic

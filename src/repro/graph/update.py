@@ -3,7 +3,6 @@
 A :class:`GraphUpdate` describes one atomic batch of mutations against a
 data graph — additions (new nodes, new edges, attribute writes) *and*
 deletions (edges, attributes, whole nodes).  Batches are what the
-incremental-validation layer (:mod:`repro.reasoning.incremental`), the
 index maintenance layer (:mod:`repro.indexing.maintenance`), the durable
 update log (:mod:`repro.graph.io`) and the streaming violation ledger
 (:mod:`repro.streaming`) all speak.
@@ -187,8 +186,7 @@ def apply_update_plain(graph: Graph, update: GraphUpdate) -> Graph:
     in the documented order, with no index awareness.
 
     Callers wanting atomicity and index maintenance use
-    :func:`repro.indexing.maintenance.apply_update_indexed` (or its
-    alias :func:`repro.reasoning.incremental.apply_update`), which
+    :func:`repro.indexing.maintenance.apply_update_indexed`, which
     validates first and routes through the maintenance layer.
     """
     for source, label, target in update.del_edges:

@@ -196,13 +196,19 @@ def apply_update_indexed(
     update: GraphUpdate,
     index: GraphIndexes | None = None,
 ) -> Graph:
-    """Drop-in, index-preserving analogue of
-    :func:`repro.reasoning.incremental.apply_update`.
+    """Apply a batch in place: the one apply entry point for callers
+    that want atomicity and a maintained index.
 
     The batch is validated up front either way (atomicity: a bad batch
-    raises before any mutation).  With no synced index attached this is
-    exactly the plain apply (mirrored here to keep the layering
-    acyclic).  Returns the graph for chaining, like the original.
+    raises before any mutation, see
+    :func:`repro.graph.update.validate_update`).  With a synced index
+    attached the batch is routed through :class:`IndexMaintenance`, so
+    the index is patched in place (dirty-region work proportional to
+    the batch) instead of going stale; with none, this is
+    :func:`repro.graph.update.apply_update_plain`.  Either way the
+    graph's mutation counter advances, retiring any warm
+    :mod:`repro.engine` pool whose snapshot predates the batch.
+    Returns the graph for chaining.
     """
     if index is None:
         index = get_index(graph)

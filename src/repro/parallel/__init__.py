@@ -10,11 +10,11 @@ embarrassingly parallel once the match space is sharded:
   variable into k disjoint shards; the matches of a pattern are exactly
   the disjoint union over shards of matches with the pivot pinned into
   the shard, so sharded validation is **exact**, not approximate;
-* :mod:`repro.parallel.validate` runs the shards on one of five
-  backends — ``serial`` (the deterministic reference), ``thread``,
-  ``process`` (a one-shot pool), ``engine`` (the warm persistent pool
-  of :mod:`repro.engine`), or ``fragment`` (fragment-resident workers
-  over a :mod:`repro.graph.fragments` partition) — merges violations
+* :mod:`repro.parallel.validate` runs Σ on one of three backends —
+  ``serial`` (one grouped Σ scan in-process, the deterministic
+  reference), ``engine`` (shards on the warm persistent pool of
+  :mod:`repro.engine`), or ``fragment`` (fragment-local shards over a
+  :mod:`repro.graph.fragments` partition) — merges violations
   deterministically, and reports per-shard work counters so the
   benchmark can separate algorithmic balance from pool overhead.
 

@@ -1,26 +1,24 @@
 """Sharded (parallel) validation of GEDs on a data graph.
 
-``parallel_find_violations`` distributes the work of
-:func:`repro.reasoning.validation.find_violations` across shards of the
-match space (see :mod:`repro.parallel.partition`) and merges the
-results.  Five backends:
+``parallel_find_violations`` finds the violations of Σ that
+:func:`repro.reasoning.validation.find_violations` finds, on one of
+three backends:
 
-* ``"serial"`` — runs shards in-process, one after the other.  Zero
-  overhead; the deterministic reference and the 1-worker baseline.
-* ``"thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`.
-  Python's GIL serializes the pure-Python matcher, so this measures
-  pool overhead rather than speedup; kept because it exercises the
-  same code path with true concurrency (thread-safety check) and
-  because backends with C-level matchers would profit.
-* ``"process"`` — real CPU parallelism via the
-  :mod:`repro.engine` runtime: the graph (and the coordinator's index
-  decision) is broadcast **once** as a compact snapshot when the pool
-  starts, workers rebuild graph+index, and shards stream to them by
-  reference.  The pool is torn down when the call returns.
-* ``"engine"`` — the same runtime, but the pool is kept **warm** in
-  the engine's graph-keyed registry: repeated validations of the same
-  (unmutated) graph pay the broadcast exactly once.  This is the
-  backend for serving workloads that revalidate after every batch.
+* ``"serial"`` — the whole Σ as one grouped scan in-process
+  (:func:`~repro.reasoning.validation.sigma_scan`: one enumeration per
+  (pattern, X-restriction) group).  The deterministic reference.  It
+  checks the worker count but does not use it, and its report says
+  ``workers=1``: cutting the match space into shards in one process
+  only adds per-rule planning to the same enumeration.
+* ``"engine"`` — real CPU parallelism via the :mod:`repro.engine`
+  runtime: each dependency's match space is sharded by a pivot
+  variable (see :mod:`repro.parallel.partition`), the graph (and the
+  coordinator's index decision) is broadcast **once** as a compact
+  snapshot, and shards stream to the workers by reference.  The pool
+  is kept **warm** in the engine's graph-keyed registry, so repeated
+  validations of the same (unmutated) graph pay the broadcast exactly
+  once; :func:`repro.engine.release_pool` tears it down.  At one worker,
+  or with an empty Σ, it runs the serial scan.
 * ``"fragment"`` — the data itself is partitioned: the graph is
   edge-cut into ``workers`` fragments (:mod:`repro.graph.fragments`)
   and each dependency runs fragment-locally wherever the
@@ -35,20 +33,19 @@ a property the test suite asserts — because sharding by a pivot
 variable partitions the match set exactly.
 
 Index sharing: when a :mod:`repro.indexing` index is attached to the
-graph, in-process shards (serial and thread backends) consult the
-*same immutable* :class:`GraphIndexes` through the weak registry, and
-the engine-backed backends broadcast the attachment decision so every
-worker rebuilds and consults its own copy.  Either way the violation
-sets are identical because candidate pruning is purely a necessary
-condition.  ``ParallelValidationReport.indexed`` records whether the
-shards (local or remote) ran indexed.
+graph, the serial scan and the fragment backend's in-process shards
+consult it through the weak registry, and the engine broadcasts the
+attachment decision so every worker rebuilds and consults its own
+copy.  Either way the violation sets are identical because candidate
+pruning is purely a necessary condition.
+``ParallelValidationReport.indexed`` records whether the shards (local
+or remote) ran indexed.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.deps.ged import GED
@@ -66,9 +63,9 @@ from repro.reasoning.validation import (
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import slowlog as _slowlog
 from repro.telemetry.spans import span
-from repro.parallel.partition import choose_pivot, plan_pivot, plan_shards
+from repro.parallel.partition import choose_pivot, plan_pivot
 
-_BACKENDS = ("serial", "thread", "process", "engine", "fragment")
+_BACKENDS = ("serial", "engine", "fragment")
 
 
 @dataclass(frozen=True)
@@ -122,8 +119,8 @@ def run_shard(
 ) -> tuple[list[Violation], ShardStats]:
     """Validate one dependency on one shard (top-level: picklable).
 
-    This is the kernel every backend shares — in-process shards call it
-    directly, engine workers call it against their rebuilt graph.  The
+    This is the kernel of the sharding backends — fragment shards call
+    it in-process, engine workers against their rebuilt graph.  The
     shard is enforced by *restricting* the pivot's candidate pool to
     the shard's ids in a single matcher invocation, which executes the
     pattern's compiled :class:`~repro.matching.plan.MatchPlan` — cached
@@ -182,7 +179,7 @@ def run_shard(
 def _run_sigma_batch(
     graph: Graph, sigma: "list[GED]"
 ) -> list[tuple[list[Violation], ShardStats]]:
-    """The 1-worker serial kernel as one grouped Σ scan.
+    """The serial kernel: Σ as one grouped scan.
 
     Semantically identical to running :func:`run_shard` once per rule
     over its full (single-shard) pivot pool: at one shard the pivot
@@ -193,8 +190,8 @@ def _run_sigma_batch(
     ``ShardStats.seconds`` is the *batch's* wall clock (a group's
     enumeration cannot be attributed to one member rule), and the
     slow-plan hook does not fire (no per-rule elapsed exists).  Rules
-    whose pattern cannot match keep getting no stats row, exactly like
-    the zero-shard plans they replace.
+    whose pattern cannot match get no stats row, as their zero-shard
+    plans get none on the sharding backends.
 
     Like the scan, the accounting builds no graph view: a rule's
     ``candidates`` is the size of the pivot pool
@@ -324,7 +321,8 @@ def parallel_find_violations(
 
     ``workers=None`` defaults to one worker per available CPU (capped
     at ``os.cpu_count()``); explicit counts must be positive integers —
-    zero or negative counts raise :class:`ValueError`.
+    zero or negative counts raise :class:`ValueError`.  The serial
+    backend checks the count but runs one scan, and reports one worker.
 
     For the ``"fragment"`` backend ``workers`` doubles as the fragment
     count: the graph is edge-cut partitioned (``fragment_mode`` picks
@@ -341,6 +339,8 @@ def parallel_find_violations(
     from repro.engine.pool import resolve_workers
 
     workers = resolve_workers(workers)
+    if backend == "serial":
+        workers = 1
     sigma = list(sigma)
     started = time.perf_counter()
 
@@ -364,10 +364,7 @@ def _dispatch_backend(
     fragmentation: Fragmentation | None,
     fragment_mode: str,
 ) -> ParallelValidationReport:
-    engine_backed = backend in ("process", "engine") and workers > 1 and bool(sigma)
     results: list[tuple[list[Violation], ShardStats]] = []
-    indexed = False
-
     if backend == "fragment":
         if fragmentation is None:
             fragmentation = get_fragments(graph, workers, fragment_mode)
@@ -382,7 +379,7 @@ def _dispatch_backend(
             )
         results = run_fragment_validation(graph, sigma, fragmentation)
         indexed = get_index(graph) is not None
-    elif engine_backed and backend == "engine":
+    elif backend == "engine" and workers > 1 and sigma:
         from repro.engine.pool import get_pool
 
         pool = get_pool(graph, workers, patterns=[ged.pattern for ged in sigma])
@@ -390,50 +387,12 @@ def _dispatch_backend(
         if units:
             results = pool.validate_units(units)
         indexed = pool.indexed
-    elif engine_backed:
-        # "process" is one-shot *and private*: it builds its own pool
-        # (cold broadcast) and closes it, never touching — or silently
-        # reusing — a warm "engine" pool registered for this graph.
-        from repro.engine.pool import EnginePool
-        from repro.engine.scheduler import plan_tasks
-        from repro.engine.snapshot import snapshot_graph
-
-        units = plan_tasks(graph, sigma, workers)
-        if units:
-            pool = EnginePool(
-                snapshot_graph(graph, patterns=[ged.pattern for ged in sigma]), workers
-            )
-            try:
-                results = pool.validate_units(units)
-                indexed = pool.indexed
-            finally:
-                pool.close()
-        else:
-            indexed = get_index(graph) is not None
-    elif backend == "serial" and workers == 1 and len(sigma) > 1:
-        # One worker, many rules: there is nothing to shard, so the
-        # whole Σ runs as one grouped scan, enumerating once per
-        # (pattern, restriction) group instead of once per rule
-        # (identical violations; each rule's ShardStats carries the
-        # batch's wall clock).
-        results = _run_sigma_batch(graph, sigma)
-        indexed = get_index(graph) is not None
     else:
-        tasks: list[tuple[GED, str, tuple[str, ...], int]] = []
-        for ged in sigma:
-            plan = plan_shards(ged.pattern, graph, workers)
-            for index, shard in enumerate(plan.shards):
-                tasks.append((ged, plan.pivot, shard, index))
-        if backend == "thread" and workers > 1 and tasks:
-            with ThreadPoolExecutor(max_workers=workers) as executor:
-                futures = [
-                    executor.submit(run_shard, graph, ged, pivot, shard, index)
-                    for ged, pivot, shard, index in tasks
-                ]
-                results = [future.result() for future in futures]
-        else:
-            for ged, pivot, shard, index in tasks:
-                results.append(run_shard(graph, ged, pivot, shard, index))
+        # Nothing to spread over workers: the whole Σ runs as one
+        # grouped scan, enumerating once per (pattern, restriction)
+        # group instead of once per rule (identical violations; each
+        # rule's ShardStats carries the batch's wall clock).
+        results = _run_sigma_batch(graph, sigma)
         indexed = get_index(graph) is not None
 
     violations: list[Violation] = []

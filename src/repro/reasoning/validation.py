@@ -63,10 +63,10 @@ def evaluate_match(
     literal fails, else ``None``.
 
     Every violation-producing path — full validation, sharded shards,
-    the one-shot incremental scan, the streaming delta kernel and the
-    ledger's re-checks — funnels through this single evaluation, so the
-    byte-identity guarantees between them (same failed sets, same
-    ordering) rest on one definition.
+    the streaming delta kernel and the ledger's re-checks — funnels
+    through this single evaluation, so the byte-identity guarantees
+    between them (same failed sets, same ordering) rest on one
+    definition.
     """
     if ged.X and not all(literal_holds(graph, l, match) for l in ged.X):
         return None
@@ -191,8 +191,8 @@ def sigma_groups(
     Each group is ``(pattern, restrict, member positions)``: literal
     variants over one skeleton whose
     :func:`x_literal_restrictions` agree enumerate the same matches, so
-    every consumer that walks Σ — the full Σ scan and the serial shard
-    batch (:func:`sigma_scan`), and the streaming delta kernel —
+    every consumer that walks Σ — the full Σ scan and the serial
+    backend's batch (:func:`sigma_scan`), and the streaming delta kernel —
     enumerates once per group and evaluates each member rule off that
     one stream.  ``pattern`` and ``restrict`` are the first member's.
     """

@@ -4,9 +4,8 @@ A violation introduced by a batch must have a *touched element* in the
 image of its match: additions only create matches through the new
 elements, deletions only destroy matches or change literal values at
 the deleted element's node.  The kernel therefore pins each pattern
-variable to each touched node in turn — but unlike the one-shot
-:func:`repro.reasoning.incremental.incremental_violations`, a pinned
-search never strays from the pinned node's neighborhood:
+variable to each touched node in turn, and a pinned search never
+strays from the pinned node's neighborhood:
 
 * **locality comes from the pattern's edges** — every pattern edge maps
   to a graph edge, and the pinned variable's pool has one node, so the

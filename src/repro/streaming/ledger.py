@@ -108,7 +108,7 @@ class ViolationLedger:
     graph:
         the live data graph; the ledger applies every batch to it (via
         the validating, index-maintaining
-        :func:`~repro.reasoning.incremental.apply_update`).
+        :func:`~repro.indexing.maintenance.apply_update_indexed`).
     sigma:
         the dependency set; fixed for the ledger's lifetime.
     backend:
@@ -215,9 +215,9 @@ class ViolationLedger:
             self._router = FragmentDeltaRouter(
                 self.graph, self.sigma, self.workers, self.fragment_mode
             )
-        from repro.reasoning.incremental import apply_update
+        from repro.indexing.maintenance import apply_update_indexed
 
-        apply_update(self.graph, update)  # validates the whole batch first
+        apply_update_indexed(self.graph, update)  # validates the whole batch first
         self.seq += 1
         delta = StreamDelta(seq=self.seq, touched=len(touched))
 

@@ -97,7 +97,7 @@ def _stream_delta_task(
     the coordinator's causal tree, shipped home inside the snapshot.
     """
     from repro.engine.pool import _worker_extra, _worker_graph
-    from repro.reasoning.incremental import apply_update
+    from repro.indexing.maintenance import apply_update_indexed
     from repro.telemetry import metrics as _metrics
     from repro.telemetry import spans as _spans
     from repro.telemetry import trace as _trace
@@ -108,7 +108,7 @@ def _stream_delta_task(
     sigma: list[GED] = _worker_extra()
     for seq, update in pending:
         if seq > state.seq:
-            apply_update(graph, update)
+            apply_update_indexed(graph, update)
             state.seq = seq
     if state.seq != target_seq:
         raise RuntimeError(

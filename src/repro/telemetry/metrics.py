@@ -22,9 +22,9 @@ Design constraints (docs/telemetry.md):
   associative and commutative for counters/histograms, so the
   coordinator may fold worker snapshots in any order.
 
-Thread safety: operations are plain dict updates under the GIL; under
-the thread backend concurrent increments are best-effort (a lost update
-is possible, a crash is not).  Violation results are never derived from
+Thread safety: operations are plain dict updates under the GIL;
+concurrent increments from several threads are best-effort (a lost
+update is possible, a crash is not).  Violation results are never derived from
 metrics, so the byte-identity contract is unaffected.
 """
 

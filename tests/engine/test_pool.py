@@ -92,33 +92,11 @@ class TestPoolAdapters:
         assert first.violations == second.violations
         assert first.indexed and second.indexed
 
-    def test_process_backend_tears_pool_down(self):
-        graph = validation_workload(100, rng=9)
-        sigma = bounded_rule_set()
-        report = parallel_find_violations(graph, sigma, workers=2, backend="process")
-        assert pool_for(graph) is None
-        serial = parallel_find_violations(graph, sigma, workers=2, backend="serial")
-        assert report.violations == serial.violations
-
-    def test_process_backend_leaves_warm_engine_pool_alone(self):
-        # A one-shot "process" run must use a private pool: it may
-        # neither reuse nor retire the graph's registered warm pool.
-        graph = validation_workload(100, rng=9)
-        sigma = bounded_rule_set()
-        parallel_find_violations(graph, sigma, workers=2, backend="engine")
-        warm = pool_for(graph)
-        assert warm is not None and not warm.closed
-        calls_before = warm.calls
-        parallel_find_violations(graph, sigma, workers=2, backend="process")
-        assert pool_for(graph) is warm and not warm.closed
-        assert warm.calls == calls_before  # process ran on its own pool
-
     def test_empty_sigma_builds_no_pool(self):
         graph = validation_workload(100, rng=9)
-        for backend in ("process", "engine"):
-            report = parallel_find_violations(graph, [], workers=4, backend=backend)
-            assert report.valid and report.stats == []
-            assert pool_for(graph) is None
+        report = parallel_find_violations(graph, [], workers=4, backend="engine")
+        assert report.valid and report.stats == []
+        assert pool_for(graph) is None
 
     def test_retired_pool_closes_when_graph_is_collected(self):
         graph = validation_workload(60, rng=9)

@@ -25,7 +25,7 @@ from repro.graph.fragments import (
 from repro.graph.generators import random_labeled_graph
 from repro.graph.update import GraphUpdate
 from repro.indexing import attach_index, get_index
-from repro.reasoning.incremental import apply_update
+from repro.indexing.maintenance import apply_update_indexed
 from repro.workloads import (
     churn_stream,
     clustered_workload,
@@ -166,7 +166,7 @@ class TestChurnEquivalence:
         fragmented = FragmentedGraph.partition(reference, k, mode, indexed=indexed)
         version_before = fragmented.version
         for update in stream.updates:
-            apply_update(reference, update)
+            apply_update_indexed(reference, update)
             fragmented.apply_update(update)
             fragmented.fragmentation.check(reference)
         assert fragmented.version == version_before + len(stream.updates)
@@ -178,7 +178,7 @@ class TestChurnEquivalence:
         reference = stream.base.copy()
         fragmented = FragmentedGraph.partition(reference, 3, mode)
         for update in stream.updates:
-            apply_update(reference, update)
+            apply_update_indexed(reference, update)
             fragmented.apply_update(update)
         fragmented.fragmentation.check(reference)
         assert_facade_equivalent(fragmented, reference)

@@ -3,7 +3,8 @@
 Randomized `GraphUpdate` batches are applied through the maintenance
 layer; after every batch the patched index must equal a fresh
 `build_indexes` of the updated graph, structure by structure, and the
-incremental/validation results must match the unindexed ones.
+delta kernel's, the ledger's and full validation's results must match
+the unindexed ones.
 """
 
 import random
@@ -19,13 +20,9 @@ from repro.indexing import (
     detach_index,
     get_index,
 )
+from repro.graph.update import GraphUpdate, apply_update_plain, validate_update
 from repro.reasoning import find_violations
-from repro.reasoning.incremental import (
-    GraphUpdate,
-    IncrementalLedger,
-    apply_update,
-    incremental_violations,
-)
+from repro.streaming import ViolationLedger, delta_violations
 from repro.workloads import bounded_rule_set, validation_workload
 
 
@@ -61,7 +58,7 @@ class TestMaintenanceEqualsRebuild:
         index = attach_index(graph)
         for round_no in range(6):
             update = random_update(graph, rng, f"{seed}_{round_no}")
-            apply_update(graph, update)  # routes through maintenance
+            apply_update_indexed(graph, update)  # routes through maintenance
             assert get_index(graph) is index, "maintenance must keep the index synced"
             assert index.snapshot() == build_indexes(graph).snapshot()
         detach_index(graph)
@@ -87,7 +84,7 @@ class TestMaintenanceEqualsRebuild:
         graph = Graph()
         graph.add_node("a", "user", score=1)
         index = attach_index(graph)
-        apply_update(graph, GraphUpdate(attrs=[("a", "score", 3)]))
+        apply_update_indexed(graph, GraphUpdate(attrs=[("a", "score", 3)]))
         assert index.nodes_with_attr_value("score", 1) == set()
         assert index.nodes_with_attr_value("score", 3) == {"a"}
 
@@ -106,13 +103,15 @@ class TestMaintenanceEqualsRebuild:
             nodes=[("x1", "user", {"score": 2})], edges=[("x1", "buys", "x1")]
         )
         apply_update_indexed(g1, update)  # no index attached -> plain path
-        apply_update(g2, update)
+        validate_update(g2, update)
+        apply_update_plain(g2, update)
+        assert g1.has_edge("x1", "buys", "x1")
         assert g1 == g2
 
 
 class TestIncrementalValidationEquality:
     @pytest.mark.parametrize("seed", [10, 11, 12])
-    def test_incremental_violations_indexed_vs_not(self, seed):
+    def test_delta_violations_indexed_vs_not(self, seed):
         rng = random.Random(seed)
         sigma = bounded_rule_set()
         indexed_graph = validation_workload(50, rng=seed)
@@ -120,11 +119,12 @@ class TestIncrementalValidationEquality:
         attach_index(indexed_graph)
         for round_no in range(4):
             update = random_update(indexed_graph, rng, f"{seed}_{round_no}")
-            apply_update(indexed_graph, update)
-            apply_update(plain_graph, update)
+            apply_update_indexed(indexed_graph, update)
+            apply_update_indexed(plain_graph, update)
             assert indexed_graph == plain_graph
-            got = incremental_violations(indexed_graph, sigma, update)
-            want = incremental_violations(plain_graph, sigma, update)
+            touched = update.touched_nodes()
+            got = delta_violations(indexed_graph, sigma, touched)
+            want = delta_violations(plain_graph, sigma, touched)
             assert set(got) == set(want)
             # full revalidation agrees too
             assert set(find_violations(indexed_graph, sigma)) == set(
@@ -139,14 +139,16 @@ class TestIncrementalValidationEquality:
         indexed_graph = validation_workload(50, rng=seed)
         plain_graph = validation_workload(50, rng=seed)
         attach_index(indexed_graph)
-        led_indexed = IncrementalLedger(indexed_graph, sigma)
-        led_plain = IncrementalLedger(plain_graph, sigma)
-        assert set(led_indexed.bootstrap()) == set(led_plain.bootstrap())
+        led_indexed = ViolationLedger(indexed_graph, sigma)
+        led_plain = ViolationLedger(plain_graph, sigma)
+        assert led_indexed.bootstrap() == led_plain.bootstrap()
         for round_no in range(4):
             update = random_update(indexed_graph, rng, f"{seed}_{round_no}")
-            new_indexed = led_indexed.refresh(update)
-            new_plain = led_plain.refresh(update)
-            assert set(new_indexed) == set(new_plain)
-            assert led_indexed.known == led_plain.known
+            delta_indexed = led_indexed.refresh(update).to_dict()
+            delta_plain = led_plain.refresh(update).to_dict()
+            delta_indexed.pop("wall_seconds")
+            delta_plain.pop("wall_seconds")
+            assert delta_indexed == delta_plain
+            assert led_indexed.violations() == led_plain.violations()
             assert get_index(indexed_graph) is not None
         detach_index(indexed_graph)

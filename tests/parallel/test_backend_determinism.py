@@ -1,7 +1,7 @@
 """Cross-backend determinism: every backend, the same ordered report.
 
-The satellite property of the parallel layer — serial, thread, process
-(engine-routed, one-shot), and engine (warm pool) backends return
+The satellite property of the parallel layer — the serial (one
+grouped Σ scan), engine (warm pool) and fragment backends return
 *identical, identically ordered* violation lists, with and without an
 attached index — on both workload families.
 """
@@ -24,7 +24,7 @@ from repro.workloads import (
     validation_workload,
 )
 
-BACKENDS = ("serial", "thread", "process", "engine", "fragment")
+BACKENDS = ("serial", "engine", "fragment")
 
 
 @pytest.fixture(autouse=True)
@@ -112,15 +112,14 @@ class TestPropertyDeterminism:
             attach_index(graph)
         sigma = bounded_rule_set()
         serial = parallel_find_violations(graph, sigma, workers=workers, backend="serial")
-        threaded = parallel_find_violations(graph, sigma, workers=workers, backend="thread")
         engine = parallel_find_violations(graph, sigma, workers=workers, backend="engine")
-        assert serial.violations == threaded.violations == engine.violations
+        assert serial.violations == engine.violations
         shutdown_pools()
 
 
 class TestWorkersValidation:
     @pytest.mark.parametrize("bad", [0, -1, -4])
-    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_zero_and_negative_workers_rejected(self, bad, backend):
         graph = validation_workload(30, rng=1)
         with pytest.raises(ValueError, match="positive integer"):

@@ -7,6 +7,7 @@ literal.  The shards must still partition the match set exactly.
 """
 
 from repro.deps.ged import make_gkey
+from repro.engine import shutdown_pools
 from repro.graph.graph import Graph
 from repro.parallel import parallel_find_violations
 from repro.patterns.pattern import Pattern
@@ -33,17 +34,9 @@ class TestGkeySharding:
         reference = {v.match for v in find_violations(g, rules)}
         assert reference  # a1/a2 share the title but are distinct nodes
         for workers in (1, 2, 3, 5):
-            report = parallel_find_violations(g, rules, workers=workers)
+            report = parallel_find_violations(g, rules, workers=workers, backend="engine")
             assert {v.match for v in report.violations} == reference
-
-    def test_thread_backend_on_gkeys(self):
-        g = duplicate_albums()
-        rules = [title_key()]
-        serial = parallel_find_violations(g, rules, workers=3, backend="serial")
-        threaded = parallel_find_violations(g, rules, workers=3, backend="thread")
-        assert [v.match for v in threaded.violations] == [
-            v.match for v in serial.violations
-        ]
+        shutdown_pools()
 
     def test_clean_after_dedup(self):
         g = duplicate_albums()

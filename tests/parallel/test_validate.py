@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.deps.ged import GED
 from repro.deps.literals import ConstantLiteral, VariableLiteral
+from repro.engine import shutdown_pools
 from repro.graph.generators import random_labeled_graph
 from repro.graph.graph import Graph
 from repro.matching.view import peek_view
@@ -55,11 +56,16 @@ class TestSerialSharding:
         g = dirty_graph()
         rules = [capital_rule()]
         reports = [
-            parallel_find_violations(g, rules, workers=w, backend="serial")
+            parallel_find_violations(g, rules, workers=w, backend="engine")
             for w in (1, 2, 3, 8)
         ]
+        shutdown_pools()
         matches = [{v.match for v in r.violations} for r in reports]
         assert all(m == matches[0] for m in matches)
+
+    def test_serial_reports_the_one_worker_it_uses(self):
+        report = parallel_find_violations(dirty_graph(), [capital_rule()], workers=4)
+        assert report.workers == 1
 
     def test_stats_account_for_work(self):
         g = dirty_graph()
@@ -72,6 +78,11 @@ class TestSerialSharding:
         with pytest.raises(ValueError):
             parallel_find_violations(dirty_graph(), [capital_rule()], backend="gpu")
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_removed_backends_rejected(self, backend):
+        with pytest.raises(ValueError, match="'serial', 'engine', 'fragment'"):
+            parallel_find_violations(dirty_graph(), [capital_rule()], backend=backend)
+
     def test_empty_sigma(self):
         report = parallel_find_violations(dirty_graph(), [], workers=4)
         assert report.valid
@@ -79,24 +90,6 @@ class TestSerialSharding:
 
 
 class TestConcurrentBackends:
-    def test_thread_backend_equals_serial(self):
-        g = dirty_graph()
-        rules = [capital_rule()]
-        serial = parallel_find_violations(g, rules, workers=3, backend="serial")
-        threaded = parallel_find_violations(g, rules, workers=3, backend="thread")
-        assert [v.match for v in threaded.violations] == [
-            v.match for v in serial.violations
-        ]
-
-    def test_process_backend_equals_serial(self):
-        g = dirty_graph()
-        rules = [capital_rule()]
-        serial = parallel_find_violations(g, rules, workers=2, backend="serial")
-        procs = parallel_find_violations(g, rules, workers=2, backend="process")
-        assert [v.match for v in procs.violations] == [
-            v.match for v in serial.violations
-        ]
-
     @given(st.integers(min_value=0, max_value=50))
     @settings(max_examples=15, deadline=None)
     def test_random_graphs_all_backends_agree(self, seed):
@@ -111,10 +104,10 @@ class TestConcurrentBackends:
         )
         rules = [capital_rule()]
         reference = {v.match for v in find_violations(g, rules)}
-        serial = parallel_find_violations(g, rules, workers=3, backend="serial")
-        threaded = parallel_find_violations(g, rules, workers=3, backend="thread")
-        assert {v.match for v in serial.violations} == reference
-        assert {v.match for v in threaded.violations} == reference
+        for backend in ("serial", "engine", "fragment"):
+            report = parallel_find_violations(g, rules, workers=3, backend=backend)
+            assert {v.match for v in report.violations} == reference, backend
+        shutdown_pools()
         assert parallel_validates(g, rules, workers=3) == validates(g, rules)
 
 
@@ -137,7 +130,7 @@ class TestMultiRule:
         assert {v.ged.name for v in report.violations} == {"one-capital", "creator"}
 
     def test_serial_sigma_batch_builds_no_graph_view(self):
-        """The one-worker serial batch scans Σ in pool mode and reads
+        """The serial batch scans Σ in pool mode and reads
         its ShardStats pool sizes off the cached candidate pools: no
         graph view is built, and the stats equal the pivot pools the
         sharded path would plan."""

@@ -9,7 +9,7 @@ from repro.deps.io import ged_from_dict, ged_to_dict
 from repro.graph.io import UpdateLogWriter, graph_to_json
 from repro.graph.update import validate_update
 from repro.reasoning import find_violations
-from repro.reasoning.incremental import apply_update
+from repro.indexing.maintenance import apply_update_indexed
 from repro.workloads import churn_stream, social_churn_stream
 
 
@@ -20,7 +20,7 @@ class TestChurnStreams:
         graph = stream.base.copy()
         for update in stream.updates:
             validate_update(graph, update)  # would raise on a bad batch
-            apply_update(graph, update)
+            apply_update_indexed(graph, update)
 
     @pytest.mark.parametrize("maker", [churn_stream, social_churn_stream])
     def test_seed_determinism(self, maker):
@@ -41,7 +41,7 @@ class TestChurnStreams:
         stream = churn_stream(n_nodes=150, batches=10, rng=13)
         graph = stream.base.copy()
         for update in stream.updates:
-            apply_update(graph, update)
+            apply_update_indexed(graph, update)
         assert find_violations(graph, stream.sigma), "workload should be dirty"
 
 
@@ -53,7 +53,7 @@ def stream_files(tmp_path):
     with UpdateLogWriter(log_path, checkpoint_every=2) as writer:
         writer.write_base(live)
         for update in stream.updates:
-            apply_update(live, update)
+            apply_update_indexed(live, update)
             writer.append(update, live)
     graph_path = tmp_path / "base.json"
     graph_path.write_text(graph_to_json(stream.base))
@@ -130,7 +130,7 @@ class TestStreamCLI:
         live = stream.base.copy()
         with UpdateLogWriter(log_path) as writer:
             for update in stream.updates:
-                apply_update(live, update)
+                apply_update_indexed(live, update)
                 writer.append(update)
         rules_path = tmp_path / "rules.json"
         rules_path.write_text(json.dumps([ged_to_dict(g) for g in stream.sigma]))

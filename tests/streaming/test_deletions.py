@@ -13,7 +13,7 @@ from repro.indexing import (
     build_indexes,
     get_index,
 )
-from repro.reasoning.incremental import apply_update
+from repro.indexing.maintenance import apply_update_indexed
 from repro.workloads import validation_workload
 
 
@@ -109,7 +109,7 @@ class TestMaintenanceDeletions:
     def test_node_deletion_repairs_neighbor_signatures(self):
         g = small_graph()
         index = attach_index(g)
-        apply_update(g, GraphUpdate(del_nodes=["c"]))
+        apply_update_indexed(g, GraphUpdate(del_nodes=["c"]))
         # a lost its (r, L) out-pair witness through c; b its (s, L).
         assert ("r", "L") not in index.out_pairs["a"]
         assert ("r", "M") in index.out_pairs["a"]
@@ -121,8 +121,8 @@ class TestMaintenanceDeletions:
         index = attach_index(g)
         # a has two (r, L)-shaped witnesses? No: (a,r,b) is (r,M),
         # (a,r,c) is (r,L).  Add a second L-target first.
-        apply_update(g, GraphUpdate(nodes=[("c2", "L", {})], edges=[("a", "r", "c2")]))
-        apply_update(g, GraphUpdate(del_edges=[("a", "r", "c")]))
+        apply_update_indexed(g, GraphUpdate(nodes=[("c2", "L", {})], edges=[("a", "r", "c2")]))
+        apply_update_indexed(g, GraphUpdate(del_edges=[("a", "r", "c")]))
         assert ("r", "L") in index.out_pairs["a"]
         assert_patch_equals_rebuild(g, index)
 
@@ -132,7 +132,7 @@ class TestMaintenanceDeletions:
         g.set_attribute("b", "tags", "ok")
         index = attach_index(g)
         assert "tags" in index.unindexable_attrs
-        apply_update(g, GraphUpdate(del_attrs=[("a", "tags")]))
+        apply_update_indexed(g, GraphUpdate(del_attrs=[("a", "tags")]))
         assert "tags" not in index.unindexable_attrs
         assert index.nodes_with_attr_value("tags", "ok") == {"b"}
         assert_patch_equals_rebuild(g, index)
@@ -142,7 +142,7 @@ class TestMaintenanceDeletions:
         g.set_attribute("a", "tags", [1, 2])
         index = attach_index(g)
         assert "tags" in index.unindexable_attrs
-        apply_update(g, GraphUpdate(attrs=[("a", "tags", "plain")]))
+        apply_update_indexed(g, GraphUpdate(attrs=[("a", "tags", "plain")]))
         assert "tags" not in index.unindexable_attrs
         assert_patch_equals_rebuild(g, index)
 
@@ -151,7 +151,7 @@ class TestMaintenanceDeletions:
         g.set_attribute("a", "tags", [1])
         g.set_attribute("b", "tags", [2])
         index = attach_index(g)
-        apply_update(g, GraphUpdate(del_attrs=[("a", "tags")]))
+        apply_update_indexed(g, GraphUpdate(del_attrs=[("a", "tags")]))
         assert "tags" in index.unindexable_attrs
         assert_patch_equals_rebuild(g, index)
 
@@ -163,7 +163,7 @@ class TestMaintenanceDeletions:
         g = validation_workload(30, rng=1)
         pool = get_pool(g, workers=2)
         try:
-            apply_update(g, GraphUpdate(del_nodes=[g.node_ids[0]]))
+            apply_update_indexed(g, GraphUpdate(del_nodes=[g.node_ids[0]]))
             fresh = get_pool(g, workers=2)
             assert fresh is not pool
             assert pool.closed
@@ -195,6 +195,6 @@ class TestMaintenanceDeletions:
                 )
             if update is None:
                 continue
-            apply_update(g, update)
+            apply_update_indexed(g, update)
             assert get_index(g) is index, "index must stay synced"
         assert_patch_equals_rebuild(g, index)

@@ -1,4 +1,6 @@
-"""Incremental validation: equivalence with full re-validation."""
+"""The delta kernel and the ledger on small hand-built updates: a
+violation an update introduces is found through the touched nodes,
+and one it fixes is retired."""
 
 import random
 
@@ -8,14 +10,30 @@ from hypothesis import strategies as st
 from repro import paper
 from repro.deps import ConstantLiteral, GED, VariableLiteral
 from repro.graph import GraphBuilder, random_labeled_graph
+from repro.graph.update import GraphUpdate
+from repro.indexing.maintenance import apply_update_indexed
 from repro.patterns import Pattern
 from repro.reasoning import find_violations
-from repro.reasoning.incremental import (
-    GraphUpdate,
-    IncrementalLedger,
-    apply_update,
-    incremental_violations,
-)
+from repro.streaming import ViolationLedger, delta_violations
+
+
+def capital_rule():
+    return paper.phi2()
+
+
+def one_capital_graph():
+    return (
+        GraphBuilder()
+        .node("fin", "country")
+        .node("hel", "city", name="Helsinki")
+        .edge("fin", "capital", "hel")
+        .build()
+    )
+
+
+def found(graph, sigma, update):
+    """The matches ``delta_violations`` reports for an applied update."""
+    return {v.match for _, v in delta_violations(graph, sigma, update.touched_nodes())}
 
 
 class TestGraphUpdate:
@@ -27,38 +45,34 @@ class TestGraphUpdate:
         )
         assert update.touched_nodes() == {"n", "m", "k"}
 
-    def test_apply_update(self):
+    def test_ledger_applies_the_batch(self):
         g = GraphBuilder().node("m", "a").build()
-        apply_update(
-            g,
-            GraphUpdate(nodes=[("n", "b", {"A": 1})], edges=[("n", "r", "m")],
-                        attrs=[("m", "B", 2)]),
-        )
+        with ViolationLedger(g, []) as ledger:
+            ledger.bootstrap()
+            delta = ledger.refresh(
+                GraphUpdate(
+                    nodes=[("n", "b", {"A": 1})],
+                    edges=[("n", "r", "m")],
+                    attrs=[("m", "B", 2)],
+                )
+            )
         assert g.has_node("n") and g.has_edge("n", "r", "m")
         assert g.node("m").get("B") == 2
+        assert delta.touched == 2
 
 
-class TestIncrementalViolations:
-    def capital_rule(self):
-        return paper.phi2()
-
+class TestDeltaViolations:
     def test_new_violation_detected(self):
-        g = (
-            GraphBuilder()
-            .node("fin", "country")
-            .node("hel", "city", name="Helsinki")
-            .edge("fin", "capital", "hel")
-            .build()
-        )
-        assert not find_violations(g, [self.capital_rule()])
+        g = one_capital_graph()
+        assert not find_violations(g, [capital_rule()])
         update = GraphUpdate(
             nodes=[("spb", "city", {"name": "Saint Petersburg"})],
             edges=[("fin", "capital", "spb")],
         )
-        apply_update(g, update)
-        incremental = incremental_violations(g, [self.capital_rule()], update)
-        full = find_violations(g, [self.capital_rule()])
-        assert {v.match for v in incremental} == {v.match for v in full}
+        apply_update_indexed(g, update)
+        full = find_violations(g, [capital_rule()])
+        assert full
+        assert found(g, [capital_rule()], update) == {v.match for v in full}
 
     def test_untouched_matches_skipped(self):
         """An update far from the rule's matches reports nothing."""
@@ -71,25 +85,25 @@ class TestIncrementalViolations:
             .edge("fin", "capital", "spb")
             .build()
         )
+        assert find_violations(g, [capital_rule()])
         update = GraphUpdate(nodes=[("lonely", "island", {})])
-        apply_update(g, update)
-        assert incremental_violations(g, [self.capital_rule()], update) == []
+        apply_update_indexed(g, update)
+        assert delta_violations(g, [capital_rule()], update.touched_nodes()) == []
 
-    def test_attribute_write_can_fix_and_break(self):
+    def test_attribute_write_breaks_a_rule(self):
         q = Pattern({"x": "item"})
         rule = GED(q, [ConstantLiteral("x", "state", "on")],
                    [ConstantLiteral("x", "power", 1)])
         g = GraphBuilder().node("i", "item", state="off", power=0).build()
         assert not find_violations(g, [rule])
         update = GraphUpdate(attrs=[("i", "state", "on")])
-        apply_update(g, update)
-        hits = incremental_violations(g, [rule], update)
-        assert len(hits) == 1
+        apply_update_indexed(g, update)
+        assert len(delta_violations(g, [rule], update.touched_nodes())) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
-    def test_incremental_equals_full_on_touched(self, seed):
-        """Post-update violations touching the update = incremental
+    def test_delta_equals_full_on_touched(self, seed):
+        """Post-update violations touching the update = the kernel's
         result; violations avoiding it existed before (completeness of
         the delta argument)."""
         rng = random.Random(seed)
@@ -106,26 +120,21 @@ class TestIncrementalViolations:
             nodes=[(new_id, rng.choice(["a", "b"]), {"A": rng.choice([1, 2])})],
             edges=[(new_id, "r", target)],
         )
-        apply_update(g, update)
+        apply_update_indexed(g, update)
         after = {v.match for v in find_violations(g, sigma)}
         touched = update.touched_nodes()
-        incremental = {v.match for v in incremental_violations(g, sigma, update)}
+        delta = found(g, sigma, update)
         # Completeness: every genuinely new violation is found.
-        assert (after - before) <= incremental
+        assert (after - before) <= delta
         # Soundness: everything reported is a real post-update violation.
-        assert incremental <= after
+        assert delta <= after
         # Sharpness: reported matches all touch the update.
-        for match in incremental:
+        for match in delta:
             assert any(node in touched for _, node in match)
 
 
-class TestLedger:
-    def test_backwards_compatible_alias(self):
-        from repro.reasoning.incremental import ViolationLedger
-
-        assert ViolationLedger is IncrementalLedger
-
-    def test_ledger_lifecycle(self):
+class TestLedgerLifecycle:
+    def test_break_noop_fix(self):
         g = (
             GraphBuilder()
             .node("fin", "country")
@@ -133,17 +142,19 @@ class TestLedger:
             .edge("fin", "capital", "hel")
             .build()
         )
-        ledger = IncrementalLedger(g, [paper.phi2()])
-        assert ledger.bootstrap() == []
-        # Break it.
-        new = ledger.refresh(
-            GraphUpdate(nodes=[("spb", "city", {"name": "B"})],
-                        edges=[("fin", "capital", "spb")])
-        )
-        assert new
-        # Refresh with a no-op update: nothing new.
-        assert ledger.refresh(GraphUpdate()) == []
-        # Fix it: renaming retires the stale violations.
-        fixed = ledger.refresh(GraphUpdate(attrs=[("spb", "name", "A")]))
-        assert fixed == []
-        assert ledger.known == set()
+        with ViolationLedger(g, [capital_rule()]) as ledger:
+            assert ledger.bootstrap() == []
+            # Break it.
+            broken = ledger.refresh(
+                GraphUpdate(nodes=[("spb", "city", {"name": "B"})],
+                            edges=[("fin", "capital", "spb")])
+            )
+            assert broken.introduced and not broken.retired
+            # A no-op update changes nothing.
+            assert ledger.refresh(GraphUpdate()).is_empty()
+            assert set(ledger.violations()) == set(broken.introduced)
+            # Fix it: renaming retires the stale violations.
+            fixed = ledger.refresh(GraphUpdate(attrs=[("spb", "name", "A")]))
+            assert fixed.introduced == []
+            assert set(fixed.retired) == set(broken.introduced)
+            assert ledger.clean

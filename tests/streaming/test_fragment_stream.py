@@ -96,9 +96,9 @@ class TestRouterAccounting:
         stream = churn_stream(n_nodes=60, batches=6, batch_size=6, rng=3)
         graph = stream.base.copy()
         router = FragmentDeltaRouter(graph, stream.sigma, fragments=3, mode="hash")
-        from repro.reasoning.incremental import apply_update
+        from repro.indexing.maintenance import apply_update_indexed
 
         for update in stream.updates:
-            apply_update(graph, update)
+            apply_update_indexed(graph, update)
             router.refresh(graph, update, update.touched_nodes())
         assert router.mirror.to_graph() == graph

@@ -15,7 +15,7 @@ from repro.graph.io import (
 )
 from repro.graph.update import GraphUpdate
 from repro.indexing import attach_index, get_index
-from repro.reasoning.incremental import apply_update
+from repro.indexing.maintenance import apply_update_indexed
 from repro.workloads import churn_stream
 
 
@@ -57,7 +57,7 @@ class TestLogReplay:
             if write_base:
                 writer.write_base(live)
             for update in stream.updates:
-                apply_update(live, update)
+                apply_update_indexed(live, update)
                 writer.append(update, live)
         return stream, live, path
 
@@ -152,7 +152,7 @@ class TestCheckpointResumeWithDeletions:
         with UpdateLogWriter(path, checkpoint_every=checkpoint_every) as writer:
             writer.write_base(base)
             for update in updates:
-                apply_update(live, update)
+                apply_update_indexed(live, update)
                 writer.append(update, live)
         return base, live, path
 
@@ -174,7 +174,7 @@ class TestCheckpointResumeWithDeletions:
         with UpdateLogWriter(path, checkpoint_every=3) as writer:
             writer.write_base(stream.base)
             for update in stream.updates:
-                apply_update(live, update)
+                apply_update_indexed(live, update)
                 writer.append(update, live)
         assert replay_update_log(path).graph == live
         assert (

@@ -6,7 +6,7 @@ from repro.errors import GraphError, ReproError
 from repro.graph import GraphBuilder
 from repro.graph.update import GraphUpdate, validate_update
 from repro.indexing import attach_index, build_indexes, get_index
-from repro.reasoning.incremental import apply_update
+from repro.indexing.maintenance import apply_update_indexed
 
 
 def base_graph():
@@ -64,7 +64,7 @@ class TestAtomicValidation:
             attach_index(g)
         before = snapshot(g)
         with pytest.raises(ReproError, match=fragment):
-            apply_update(g, update)
+            apply_update_indexed(g, update)
         assert snapshot(g) == before, "a rejected batch must not mutate anything"
 
     def test_bad_tail_does_not_apply_good_head(self):
@@ -78,7 +78,7 @@ class TestAtomicValidation:
             edges=[("fresh", "r", "a"), ("fresh", "r", "missing")],
         )
         with pytest.raises(GraphError, match="missing"):
-            apply_update(g, update)
+            apply_update_indexed(g, update)
         assert snapshot(g) == before
         assert not g.has_node("fresh")
 
@@ -99,7 +99,7 @@ class TestDuplicateAddSemantics:
         if indexed:
             attach_index(g)
         with pytest.raises(GraphError, match="already exists"):
-            apply_update(g, GraphUpdate(nodes=[("a", "L", {"x": 5})]))
+            apply_update_indexed(g, GraphUpdate(nodes=[("a", "L", {"x": 5})]))
         assert g.node("a").get("x") == 1, "the existing node must be untouched"
 
     @pytest.mark.parametrize("indexed", [False, True], ids=["plain", "indexed"])
@@ -107,7 +107,7 @@ class TestDuplicateAddSemantics:
         g = base_graph()
         if indexed:
             attach_index(g)
-        apply_update(g, GraphUpdate(del_nodes=["a"], nodes=[("a", "N", {"x": 5})]))
+        apply_update_indexed(g, GraphUpdate(del_nodes=["a"], nodes=[("a", "N", {"x": 5})]))
         assert g.node("a").label == "N"
         assert g.node("a").get("x") == 5
         assert g.num_edges == 0  # the old a's edges cascaded away
@@ -120,12 +120,12 @@ class TestDuplicateAddSemantics:
         """Attribute writes overwrite (unlike node adds): documented
         contrast enforced here."""
         g = base_graph()
-        apply_update(g, GraphUpdate(attrs=[("a", "x", 42)]))
+        apply_update_indexed(g, GraphUpdate(attrs=[("a", "x", 42)]))
         assert g.node("a").get("x") == 42
 
     def test_edge_readd_is_idempotent(self):
         g = base_graph()
         v = g.version
-        apply_update(g, GraphUpdate(edges=[("a", "r", "b")]))
+        apply_update_indexed(g, GraphUpdate(edges=[("a", "r", "b")]))
         assert g.num_edges == 1
         assert g.version == v  # no effective mutation

@@ -12,7 +12,7 @@ from repro.engine import shutdown_pools
 from repro.graph import GraphBuilder
 from repro.graph.io import UpdateLogWriter, graph_to_json
 from repro.graph.update import GraphUpdate
-from repro.reasoning.incremental import apply_update
+from repro.indexing.maintenance import apply_update_indexed
 
 
 @pytest.fixture(autouse=True)
@@ -135,7 +135,7 @@ class TestStreamSummary:
             nodes=(("tpe", "city", (("name", "Tampere"),)),),
             edges=(("fin", "capital", "tpe"),),
         )
-        apply_update(base, update)
+        apply_update_indexed(base, update)
         writer.append(update, base)
         writer.close()
         return log_path
@@ -243,7 +243,7 @@ class TestTraceCommand:
         target = tmp_path / "slow.ndjson"
         main(
             ["pvalidate", "--graph", str(graph_path), "--rules", str(rules_path),
-             "--backend", "serial", "--slow-plan-ms", "0",
+             "--backend", "fragment", "--slow-plan-ms", "0",
              "--telemetry", f"ndjson:{target}"]
         )
         capsys.readouterr()

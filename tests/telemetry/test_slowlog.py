@@ -121,7 +121,7 @@ class TestValidationHook:
         metrics.enable()
         slowlog.set_slow_plan_threshold(0.0)
         report = parallel_find_violations(
-            self._dirty_graph(), [paper.phi2()], workers=2, backend="serial"
+            self._dirty_graph(), [paper.phi2()], workers=2, backend="fragment"
         )
         assert report.violations  # the fixture is dirty
         records = slowlog.drain_slow_plans()
@@ -137,6 +137,6 @@ class TestValidationHook:
 
         slowlog.set_slow_plan_threshold(0.0)
         parallel_find_violations(
-            self._dirty_graph(), [paper.phi2()], workers=2, backend="serial"
+            self._dirty_graph(), [paper.phi2()], workers=2, backend="fragment"
         )
         assert slowlog.drain_slow_plans() == []

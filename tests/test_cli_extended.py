@@ -156,7 +156,22 @@ class TestPvalidateCommand:
                 "--graph", str(graph_path),
                 "--rules", str(rules_path),
                 "--workers", "4",
-                "--backend", "thread",
+                "--backend", "engine",
             ]
         )
         assert serial == parallel == 1
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_removed_backend_is_a_usage_error(self, dirty_kb, backend, capsys):
+        graph_path, rules_path = dirty_kb
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "pvalidate",
+                    "--graph", str(graph_path),
+                    "--rules", str(rules_path),
+                    "--backend", backend,
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
