@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.engine import get_pool, pool_for, release_pool, resolve_workers, shutdown_pools
+from repro.engine import (
+    EnginePool,
+    get_pool,
+    plan_tasks,
+    pool_for,
+    release_pool,
+    resolve_workers,
+    shutdown_pools,
+)
+from repro.engine.snapshot import snapshot_graph
 from repro.indexing import attach_index, detach_index
 from repro.matching.homomorphism import count_matches
 from repro.parallel import parallel_find_violations
@@ -91,6 +100,40 @@ class TestPoolAdapters:
         assert pool_for(graph) is pool  # same warm pool, no re-broadcast
         assert first.violations == second.violations
         assert first.indexed and second.indexed
+
+    @staticmethod
+    def _one_shot(graph, sigma, workers):
+        """A private pool for one validation, as the perf gate's one-shot
+        measurement builds it: snapshot, start-up broadcast, one
+        validation, close."""
+        pool = EnginePool(snapshot_graph(graph, patterns=[ged.pattern for ged in sigma]), workers)
+        try:
+            results = pool.validate_units(plan_tasks(graph, sigma, workers))
+        finally:
+            pool.close()
+        found = [v for violations, _ in results for v in violations]
+        return pool, sorted(found, key=lambda v: (v.ged.name or "", str(v.ged), v.match))
+
+    def test_private_pool_tears_down_and_matches_serial(self):
+        graph = validation_workload(100, rng=9)
+        sigma = bounded_rule_set()
+        pool, found = self._one_shot(graph, sigma, 2)
+        assert pool.closed and pool_for(graph) is None
+        serial = parallel_find_violations(graph, sigma, workers=2, backend="serial")
+        assert found == serial.violations
+
+    def test_private_pool_leaves_warm_engine_pool_alone(self):
+        # A private pool may neither reuse nor retire the graph's
+        # registered warm pool.
+        graph = validation_workload(100, rng=9)
+        sigma = bounded_rule_set()
+        parallel_find_violations(graph, sigma, workers=2, backend="engine")
+        warm = pool_for(graph)
+        assert warm is not None and not warm.closed
+        calls_before = warm.calls
+        self._one_shot(graph, sigma, 2)
+        assert pool_for(graph) is warm and not warm.closed
+        assert warm.calls == calls_before  # the validation ran on its own pool
 
     def test_empty_sigma_builds_no_pool(self):
         graph = validation_workload(100, rng=9)
