@@ -19,7 +19,7 @@ without scanning the whole graph.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator, Mapping, Set as AbstractSet
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence, Set as AbstractSet
 
 from repro.errors import GraphError
 
@@ -33,6 +33,24 @@ Edge = tuple[str, str, str]
 #: Shared empty adjacency row (returned by the read-only row accessors
 #: for absent labels; frozen so accidental mutation fails loudly).
 _EMPTY_ROW: frozenset = frozenset()
+
+
+def _lookup(table: Sequence, column: Sequence[int], name: str, what: str | None = None) -> list:
+    """``[table[i] for i in column]``, refusing any ``i`` outside
+    ``range(len(table))`` (a negative one would wrap silently).  With
+    ``what``, each distinct ``table[i]`` must be a non-empty string."""
+    try:
+        distinct = set(column)
+        if distinct and (min(distinct) < 0 or max(distinct) >= len(table)):
+            raise IndexError
+        values = list(map(table.__getitem__, column))
+    except (IndexError, TypeError):
+        raise GraphError(f"{name} holds an index outside range({len(table)})") from None
+    if what is not None:
+        for i in distinct:
+            if not isinstance(table[i], str) or not table[i]:
+                raise GraphError(f"{what} must be a non-empty string, got {table[i]!r}")
+    return values
 
 
 class Node:
@@ -150,6 +168,100 @@ class Graph:
         """Set (or overwrite) one attribute on an existing node."""
         self.node(node_id)._set_attr(name, value)
         self._version += 1
+
+    @classmethod
+    def from_columns(
+        cls,
+        pool: Sequence[Value],
+        node_ids: Sequence[int],
+        node_labels: Sequence[int],
+        attr_node: Sequence[int],
+        attr_name: Sequence[int],
+        attr_value: Sequence[int],
+        edge_src: Sequence[int],
+        edge_label: Sequence[int],
+        edge_dst: Sequence[int],
+    ) -> "Graph":
+        """Build a graph in bulk from interned columns.
+
+        The layout is that of :func:`repro.graph.io.graph_to_arrays`: ``pool``
+        holds the values; ``node_ids``, ``node_labels``, ``attr_name``,
+        ``attr_value`` and ``edge_label`` hold slots into it;
+        ``attr_node``, ``edge_src`` and ``edge_dst`` hold positions in
+        ``node_ids``.  The result equals adding the nodes, then setting
+        the attributes, then adding the edges one call at a time — same
+        node order, same rows, same :attr:`version` — but the tables are
+        filled directly and each distinct slot is checked once.  A
+        malformed input (ragged column group, out-of-range slot or
+        position, or a value the per-element calls would refuse) raises
+        :class:`GraphError`.
+        """
+        n = len(node_ids)
+        if len(node_labels) != n:
+            raise GraphError(
+                f"node_ids and node_labels differ in length ({n} vs {len(node_labels)})"
+            )
+        if not len(attr_node) == len(attr_name) == len(attr_value):
+            raise GraphError("attr_node, attr_name and attr_value differ in length")
+        if not len(edge_src) == len(edge_label) == len(edge_dst):
+            raise GraphError("edge_src, edge_label and edge_dst differ in length")
+        ids = _lookup(pool, node_ids, "node_ids", "node id")
+        labels = _lookup(pool, node_labels, "node_labels", "node label")
+        names = _lookup(pool, attr_name, "attr_name", "attribute name")
+        if ID_ATTRIBUTE in names:
+            raise GraphError("'id' is the reserved node identity, not a settable attribute")
+        values = _lookup(pool, attr_value, "attr_value")
+        edge_labels = _lookup(pool, edge_label, "edge_label", "edge label")
+        sources = _lookup(ids, edge_src, "edge_src")
+        targets = _lookup(ids, edge_dst, "edge_dst")
+
+        graph = cls()
+        nodes = graph._nodes
+        by_label = graph._by_label
+        tables: list[dict[str, Value]] = []
+        new_node = Node.__new__
+        for node_id, label in zip(ids, labels):
+            node = new_node(Node)
+            node.id = node_id
+            node.label = label
+            node._attrs = attrs = {}
+            tables.append(attrs)
+            nodes[node_id] = node
+            members = by_label.get(label)
+            if members is None:
+                by_label[label] = {node_id}
+            else:
+                members.add(node_id)
+        if len(nodes) != n:
+            seen: set[str] = set()
+            for node_id in ids:
+                if node_id in seen:
+                    raise GraphError(f"node {node_id!r} already exists")
+                seen.add(node_id)
+        for attrs, name, value in zip(_lookup(tables, attr_node, "attr_node"), names, values):
+            attrs[name] = value
+
+        out = graph._out = {node_id: {} for node_id in ids}
+        into = graph._in = {node_id: {} for node_id in ids}
+        rows = list(zip(sources, edge_labels, targets))
+        # Row order, duplicates included: a repeated row adds nothing to
+        # a set, so every table ends up exactly as add_edge leaves it.
+        for source, label, target in rows:
+            row = out[source]
+            members = row.get(label)
+            if members is None:
+                row[label] = {target}
+            else:
+                members.add(target)
+            row = into[target]
+            members = row.get(label)
+            if members is None:
+                row[label] = {source}
+            else:
+                members.add(source)
+        graph._edges = set(rows)
+        graph._version = n + len(attr_node) + len(graph._edges)
+        return graph
 
     # ------------------------------------------------------------------
     # Deletion

@@ -82,6 +82,20 @@ def graph_from_json(text: str) -> Graph:
 # ----------------------------------------------------------------------
 
 
+#: The integer columns of the flat-array encoding, in the order
+#: :meth:`Graph.from_columns` takes them.
+_ARRAY_COLUMNS = (
+    "node_ids",
+    "node_labels",
+    "attr_node",
+    "attr_name",
+    "attr_value",
+    "edge_src",
+    "edge_label",
+    "edge_dst",
+)
+
+
 class _Pool:
     """Interning pool: assigns each distinct value one integer slot.
 
@@ -157,21 +171,26 @@ def graph_to_arrays(g: Graph) -> dict[str, Any]:
 
 
 def graph_from_arrays(data: dict[str, Any]) -> Graph:
-    """Rebuild a graph from :func:`graph_to_arrays` output."""
-    pool: list[Any] = data["pool"]
-    g = Graph()
-    ids: list[str] = []
-    for id_slot, label_slot in zip(data["node_ids"], data["node_labels"]):
-        node_id = pool[id_slot]
-        ids.append(node_id)
-        g.add_node(node_id, pool[label_slot])
-    for position, name_slot, value_slot in zip(
-        data["attr_node"], data["attr_name"], data["attr_value"]
-    ):
-        g.set_attribute(ids[position], pool[name_slot], pool[value_slot])
-    for src, label_slot, dst in zip(data["edge_src"], data["edge_label"], data["edge_dst"]):
-        g.add_edge(ids[src], pool[label_slot], ids[dst])
-    return g
+    """Rebuild a graph from :func:`graph_to_arrays` output.
+
+    Integer columns may be ``array('I')`` or plain lists (a checkpoint's
+    JSON spelling).  One bulk build (:meth:`Graph.from_columns`) fills
+    the graph; a malformed encoding — a missing or ragged column, a slot
+    outside the pool, a position outside ``node_ids``, or a value the
+    graph refuses — raises :class:`GraphError` rather than decoding to a
+    different graph.
+    """
+    try:
+        pool = data["pool"]
+        columns = [data[column] for column in _ARRAY_COLUMNS]
+    except (KeyError, TypeError):
+        columns = None
+    if columns is None or not all(isinstance(c, (list, array)) for c in [pool, *columns]):
+        raise GraphError(
+            "a flat-array graph needs a pool list and the integer columns "
+            + ", ".join(_ARRAY_COLUMNS)
+        )
+    return Graph.from_columns(pool, *columns)
 
 
 # ----------------------------------------------------------------------
@@ -180,17 +199,6 @@ def graph_from_arrays(data: dict[str, Any]) -> Graph:
 
 #: Version stamp carried by every update-log line.
 UPDATE_LOG_FORMAT = 1
-
-_ARRAY_COLUMNS = (
-    "node_ids",
-    "node_labels",
-    "attr_node",
-    "attr_name",
-    "attr_value",
-    "edge_src",
-    "edge_label",
-    "edge_dst",
-)
 
 
 def update_to_dict(update: GraphUpdate) -> dict[str, Any]:
@@ -234,6 +242,11 @@ def _checkpoint_arrays(g: Graph) -> dict[str, Any]:
     return payload
 
 
+def _is_seq(value: Any) -> bool:
+    """A record's ``seq`` is a non-negative ``int`` (a ``bool`` is not)."""
+    return type(value) is int and value >= 0
+
+
 @dataclass
 class LogRecord:
     """One decoded update-log line."""
@@ -257,15 +270,23 @@ class UpdateLogWriter:
     Reopening an existing log **resumes** its numbering: the writer
     reads the last record's ``seq`` (every record type carries the
     current batch count) and continues from there, so the format's
-    monotone-seq contract survives restarts.
+    monotone-seq contract survives restarts.  A caller that has just
+    replayed the log passes the replay's ``last_seq`` as ``seq``
+    instead, so the file is not read a second time.
     """
 
-    def __init__(self, path: str | Path, checkpoint_every: int | None = None):
+    def __init__(
+        self,
+        path: str | Path,
+        checkpoint_every: int | None = None,
+        *,
+        seq: int | None = None,
+    ):
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         self.path = Path(path)
         self.checkpoint_every = checkpoint_every
-        self.seq = self._resume_seq(self.path)
+        self.seq = self._resume_seq(self.path) if seq is None else seq
         self._file = open(self.path, "a", encoding="utf-8")
 
     @staticmethod
@@ -287,7 +308,7 @@ class UpdateLogWriter:
             raise GraphError(
                 f"cannot resume update log {path}: last record is malformed"
             ) from None
-        if not isinstance(seq, int) or seq < 0:
+        if not _is_seq(seq):
             raise GraphError(f"cannot resume update log {path}: bad seq {seq!r}")
         return seq
 
@@ -355,11 +376,11 @@ class UpdateLogWriter:
 def scan_update_log(path: str | Path) -> Iterator[dict[str, Any]]:
     """Validated *raw* records, one JSON dictionary per line.
 
-    The cheap layer under :func:`read_update_log`: format/type/seq are
-    checked but nothing is materialized — in particular checkpoint
-    graphs stay as their array dictionaries, so callers that skip or
-    postpone checkpoints (replay, the ``stream`` CLI) never pay
-    O(|G|) decodes for records they discard.
+    The cheap layer under :func:`read_update_log`: format, type and seq
+    (a non-negative ``int``) are checked but nothing is materialized —
+    in particular checkpoint graphs stay as their array dictionaries,
+    so callers that skip or postpone checkpoints (replay, the ``stream``
+    CLI) never pay O(|G|) decodes for records they discard.
     """
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -381,6 +402,8 @@ def scan_update_log(path: str | Path) -> Iterator[dict[str, Any]]:
                 raise GraphError(
                     f"{path}:{line_no}: unknown record type {record['type']!r}"
                 )
+            if not _is_seq(record["seq"]):
+                raise GraphError(f"{path}:{line_no}: bad seq {record['seq']!r}")
             yield record
 
 

@@ -242,6 +242,10 @@ class ViolationServer:
     checkpoint_every:
         forwarded to the log writer (a checkpoint every k batches keeps
         recovery O(tail)); a clean :meth:`stop` also checkpoints.
+    log_seq:
+        the log's last ``seq`` when the caller has just replayed it
+        (:meth:`from_log` passes the replay's), so the writer need not
+        read the file again; ``None`` lets the writer read it.
     queue_size:
         per-subscriber outbound queue bound (frames) before the
         drop-oldest + resync overflow policy engages.
@@ -260,6 +264,7 @@ class ViolationServer:
         workers: int | None = None,
         fragment_mode: str = "hash",
         checkpoint_every: int | None = None,
+        log_seq: int | None = None,
         queue_size: int = DEFAULT_QUEUE_SIZE,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -271,7 +276,9 @@ class ViolationServer:
         self._log_writer: UpdateLogWriter | None = None
         if log_path is not None:
             fresh = not Path(log_path).exists()
-            self._log_writer = UpdateLogWriter(log_path, checkpoint_every=checkpoint_every)
+            self._log_writer = UpdateLogWriter(
+                log_path, checkpoint_every=checkpoint_every, seq=log_seq
+            )
             if fresh:
                 self._log_writer.write_base(graph)
         self.ledger = ViolationLedger(
@@ -309,21 +316,20 @@ class ViolationServer:
         """Resume (or begin) serving from a durable update log.
 
         An existing log is replayed — latest checkpoint plus tail — and
-        the server continues its ``seq`` numbering; a fresh log records
+        the server continues its ``seq`` numbering from the replay's
+        last seq, so the file is read once; a fresh log records
         ``base_graph`` as its seq-0 base checkpoint.  Exactly one of
         the two sources must determine the base state.
         """
         path = Path(log_path)
-        if path.exists():
-            replay = replay_update_log(path, base_graph)
-            graph = replay.graph
-        else:
+        if not path.exists():
             if base_graph is None:
                 raise GraphError(
                     f"update log {path} does not exist; pass base_graph to start fresh"
                 )
-            graph = base_graph
-        return cls(graph, sigma, log_path=path, **kwargs)
+            return cls(base_graph, sigma, log_path=path, **kwargs)
+        replay = replay_update_log(path, base_graph)
+        return cls(replay.graph, sigma, log_path=path, log_seq=replay.last_seq, **kwargs)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -6,6 +6,7 @@ as a second subprocess consuming the push stream; the publisher drives
 both through :class:`~repro.serve.client.ServeClient` in-process.
 """
 
+import gc
 import json
 import os
 import pathlib
@@ -19,7 +20,7 @@ from repro.cli import main
 from repro.deps import GED, ConstantLiteral
 from repro.deps.io import ged_to_dict
 from repro.graph import GraphBuilder
-from repro.graph.io import graph_to_json
+from repro.graph.io import UpdateLogWriter, graph_to_json
 from repro.graph.update import GraphUpdate
 from repro.patterns import Pattern
 
@@ -154,10 +155,33 @@ class TestServeSubscribeEndToEnd:
 
 class TestArgumentHandling:
     def test_fresh_log_requires_graph(self, fixture_files, capsys):
+        """A failed recovery exits 2 and leaves CPython's collector as
+        it found it: enabled, and nothing frozen."""
         _, rules_path, log_path = fixture_files
+        frozen = gc.get_freeze_count()
         code = main(["serve", "--log", str(log_path), "--rules", str(rules_path)])
         assert code == 2
         assert "base_graph" in capsys.readouterr().err
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == frozen
+
+    def test_malformed_checkpoint_exits_2(self, fixture_files, capsys):
+        """A checkpoint that does not decode stops the start with exit 2
+        and a one-line error, not a traceback."""
+        graph_path, rules_path, log_path = fixture_files
+        from repro.graph.io import graph_from_json
+
+        with UpdateLogWriter(log_path) as writer:
+            writer.write_base(graph_from_json(graph_path.read_text()))
+        record = json.loads(log_path.read_text())
+        record["arrays"]["edge_dst"] = [99]  # the fixture's one edge, aimed past its nodes
+        log_path.write_text(json.dumps(record) + "\n")
+        frozen = gc.get_freeze_count()
+        code = main(["serve", "--log", str(log_path), "--rules", str(rules_path)])
+        assert code == 2
+        assert "edge_dst" in capsys.readouterr().err
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == frozen
 
     def test_subscribe_connection_refused_exits_2(self, capsys):
         # A port nothing listens on: bind-then-close to find a free one.

@@ -170,6 +170,34 @@ def test_start_and_resume_build_no_graph_view(tmp_path):
         asyncio.run(server.stop(checkpoint=False))
 
 
+@pytest.mark.parametrize("backend", ["engine", "fragment"])
+def test_recovery_reads_the_log_once_and_forks_no_worker(tmp_path, monkeypatch, backend):
+    """A recovery hands the replay's last seq to its log writer, which
+    then does not read the file again, and starts no worker process:
+    the engine and fragment pools start on the first batch, so no child
+    inherits the collector that ``cli serve`` pauses for recovery."""
+    import multiprocessing
+
+    stream = stream_fixture()
+    log = tmp_path / "updates.jsonl"
+    with UpdateLogWriter(log) as writer:
+        writer.write_base(stream.base)
+        for update in stream.updates[:CRASH_AFTER]:
+            writer.append(update)
+
+    def no_second_read(path):
+        raise AssertionError(f"{path} read again to resume its seq")
+
+    monkeypatch.setattr(UpdateLogWriter, "_resume_seq", staticmethod(no_second_read))
+    children = set(multiprocessing.active_children())
+    server = ViolationServer.from_log(log, stream.sigma, backend=backend, workers=2)
+    try:
+        assert server.seq == CRASH_AFTER
+        assert set(multiprocessing.active_children()) <= children
+    finally:
+        asyncio.run(server.stop(checkpoint=False))
+
+
 def test_resume_requires_base_graph_for_fresh_log(tmp_path):
     from repro.errors import GraphError
 

@@ -8,11 +8,14 @@ from repro.errors import GraphError
 from repro.graph.io import (
     UPDATE_LOG_FORMAT,
     UpdateLogWriter,
+    graph_from_arrays,
     read_update_log,
     replay_update_log,
+    scan_update_log,
     update_from_dict,
     update_to_dict,
 )
+from repro.graph.graph import Graph
 from repro.graph.update import GraphUpdate
 from repro.indexing import attach_index, get_index
 from repro.indexing.maintenance import apply_update_indexed
@@ -245,3 +248,88 @@ class TestLogFormat:
             writer.append(GraphUpdate(nodes=[("n", "L", {})]))
         path.write_text(path.read_text() + "\n\n")
         assert len(list(read_update_log(path))) == 1
+
+
+class TestMalformedCheckpoint:
+    """A checkpoint whose columns do not fit together raises GraphError
+    instead of decoding to a different graph (docs/update-log.md §1.2)."""
+
+    def checkpoint(self, tmp_path):
+        """The arrays of a real checkpoint of a -r-> b plus an isolated c."""
+        from repro.graph import GraphBuilder
+
+        graph = (
+            GraphBuilder()
+            .node("a", "L", {"x": 1})
+            .node("b", "L")
+            .node("c", "L")
+            .edge("a", "r", "b")
+            .build()
+        )
+        path = tmp_path / "base.jsonl"
+        with UpdateLogWriter(path) as writer:
+            writer.write_base(graph)
+        (record,) = scan_update_log(path)
+        return record["arrays"]
+
+    def test_well_formed_checkpoint_decodes(self, tmp_path):
+        graph = graph_from_arrays(self.checkpoint(tmp_path))
+        assert graph.node_ids == ["a", "b", "c"]
+        assert graph.edges == {("a", "r", "b")}
+
+    def test_short_label_column_refused(self, tmp_path):
+        arrays = self.checkpoint(tmp_path)
+        arrays["node_labels"].pop()
+        with pytest.raises(GraphError, match="node_ids and node_labels differ"):
+            graph_from_arrays(arrays)
+
+    def test_empty_edge_label_column_refused(self, tmp_path):
+        arrays = self.checkpoint(tmp_path)
+        arrays["edge_label"] = []
+        with pytest.raises(GraphError, match="edge_src, edge_label and edge_dst differ"):
+            graph_from_arrays(arrays)
+
+    def test_negative_position_refused(self, tmp_path):
+        arrays = self.checkpoint(tmp_path)
+        arrays["edge_dst"] = [-1]  # would wrap to the last node, c
+        with pytest.raises(GraphError, match="edge_dst holds an index outside range"):
+            graph_from_arrays(arrays)
+
+    def test_position_past_the_nodes_refused(self, tmp_path):
+        arrays = self.checkpoint(tmp_path)
+        arrays["edge_dst"] = [99]
+        with pytest.raises(GraphError, match="edge_dst holds an index outside range"):
+            graph_from_arrays(arrays)
+
+    def test_replay_refuses_malformed_checkpoint(self, tmp_path):
+        arrays = self.checkpoint(tmp_path)
+        arrays["edge_dst"] = [-1]
+        path = tmp_path / "log.jsonl"
+        record = {"format": UPDATE_LOG_FORMAT, "type": "checkpoint", "seq": 0, "arrays": arrays}
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(GraphError, match="edge_dst"):
+            replay_update_log(path)
+
+
+class TestRecordSeq:
+    """Every record's seq is a non-negative int, on replay as on reopen."""
+
+    @pytest.mark.parametrize("seq", [-1, "3", 2.0, True, None])
+    def test_bad_seq_refused(self, tmp_path, seq):
+        path = tmp_path / "log.jsonl"
+        record = {"format": UPDATE_LOG_FORMAT, "type": "update", "seq": seq, "update": {}}
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(GraphError, match="bad seq"):
+            list(read_update_log(path))
+        with pytest.raises(GraphError, match="bad seq"):
+            replay_update_log(path, Graph())
+        with pytest.raises(GraphError, match="bad seq"):
+            UpdateLogWriter(path)
+
+    def test_writer_takes_a_known_seq_without_reading(self, tmp_path):
+        """A caller that just replayed the log hands its last seq over;
+        the writer then does not read the file (here: unreadable)."""
+        path = tmp_path / "log.jsonl"
+        path.write_text("garbage\n")
+        with UpdateLogWriter(path, seq=7) as writer:
+            assert writer.append(GraphUpdate(nodes=[("n", "L", {})])) == 8
