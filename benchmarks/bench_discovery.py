@@ -14,8 +14,9 @@ Shape claims:
 
 The Σ claim: the grouped full scan — one plan enumeration per
 (pattern, X-restriction) group, every member rule evaluated on each
-match — beats the per-rule :class:`~repro.matching.plan.MatchPlan`
-loop by **at least 2x** on the committed Σ-overlapping workload, and
+match — beats the per-rule
+:func:`~repro.matching.homomorphism.find_homomorphisms` loop by
+**at least 2x** on the committed Σ-overlapping workload, and
 discovery's support counting (``count_matches``, which counts the
 deepest step's candidates instead of binding them) beats a loop that
 materializes every match by at least 2x, while producing
@@ -98,9 +99,9 @@ def test_shape_soundness_and_cover():
 
 
 def _per_rule_find_violations(graph, sigma):
-    """``find_violations`` re-spelled as the pre-Σ per-rule plan loop
-    (one compiled :class:`MatchPlan` walk per dependency)."""
-    from repro.matching.plan import compile_plan
+    """``find_violations`` re-spelled as the pre-Σ per-rule loop (one
+    ``find_homomorphisms`` walk per dependency)."""
+    from repro.matching.homomorphism import find_homomorphisms
     from repro.reasoning.validation import (
         Violation,
         evaluate_match,
@@ -110,8 +111,7 @@ def _per_rule_find_violations(graph, sigma):
     found = []
     for ged in sigma:
         restrict = x_literal_restrictions(graph, ged)
-        plan = compile_plan(graph, ged.pattern)
-        for match in plan.matches(restrict=restrict):
+        for match in find_homomorphisms(ged.pattern, graph, restrict=restrict):
             failed = evaluate_match(graph, ged, match)
             if failed:
                 found.append(Violation(ged, tuple(sorted(match.items())), failed))
@@ -120,10 +120,10 @@ def _per_rule_find_violations(graph, sigma):
 
 def _materializing_counts(graph, patterns):
     """Support counting re-spelled as a loop that materializes every
-    match (one compiled :class:`MatchPlan` walk per pattern)."""
-    from repro.matching.plan import compile_plan
+    match (one ``find_homomorphisms`` walk per pattern)."""
+    from repro.matching.homomorphism import find_homomorphisms
 
-    return [sum(1 for _ in compile_plan(graph, pattern).matches()) for pattern in patterns]
+    return [sum(1 for _ in find_homomorphisms(pattern, graph)) for pattern in patterns]
 
 
 def run_sigma_bench(
@@ -140,8 +140,9 @@ def run_sigma_bench(
       :func:`~repro.matching.homomorphism.count_matches` per pattern
       over the workload's schema candidates, equal counts asserted.
 
-    Both sides run warm (plans cached on the view), so the measured
-    gap is enumeration and match building, not compilation.
+    Both sides run warm (candidate pools cached per graph version), so
+    the measured gap is enumeration and match building, not pool
+    derivation.
     """
     from repro.matching.homomorphism import count_matches
     from repro.reasoning import find_violations

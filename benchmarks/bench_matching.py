@@ -1,9 +1,9 @@
 """Matching benchmarks: the plan-compiled core vs the seed interpreter.
 
 The matching claim (ISSUE 4): routing validation through compiled
-match plans — interned CSR graph views, candidate pools materialized
-once as sorted slot arrays, an iterative intersection-driven executor —
-beats the seed recursive enumerator (kept as
+match plans — candidate pools derived once per graph version, step
+programs ranked from their sizes, an iterative intersection-driven
+executor — beats the seed recursive enumerator (kept as
 :func:`repro.matching.seed_find_homomorphisms`) by **at least 3x** on
 ``validation_workload(400)``, while yielding byte-identical match
 streams and violation reports.

@@ -264,9 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     # What the warm pool amortizes: a private pool per call (snapshot,
     # start-up broadcast, one validation, close).
     def one_shot():
-        cold_pool = EnginePool(
-            snapshot_graph(graph, patterns=[ged.pattern for ged in sigma]), gate_workers
-        )
+        cold_pool = EnginePool(snapshot_graph(graph), gate_workers)
         try:
             units = plan_tasks(graph, sigma, gate_workers)
             return cold_pool.validate_units(units), cold_pool.indexed

@@ -42,7 +42,7 @@ from repro.deps.ged import GED, sigma_size
 from repro.deps.literals import FALSE, Literal
 from repro.errors import ChaseError
 from repro.graph.graph import Graph
-from repro.matching.plan import compile_plan
+from repro.matching.homomorphism import find_homomorphisms
 
 
 @dataclass(frozen=True)
@@ -175,18 +175,17 @@ def _applicable(
 ):
     """All (GED, match, literal) triples whose X holds in the current Eq.
 
-    Matches are enumerated on the coercion graph via compiled plans:
-    the coercion is rebuilt once per round, so its view is interned
-    once per round and every dependency's pattern compiles against it
-    exactly once — dependencies sharing a pattern (GKeys and their
-    copies) share the compilation.  Literal satisfaction is checked
+    Matches are enumerated on the coercion graph by the plan executor:
+    the coercion is rebuilt once per round, so each pattern's candidate
+    pools are derived once per round — dependencies sharing a pattern
+    (GKeys and their copies) share them.  Literal satisfaction is checked
     against Eq (so generated attributes are visible).  Literals already
     entailed are still yielded — the applying loop re-checks, because
     earlier applications within the same round can change entailment
     either way.
     """
     for ged in sigma:
-        for match in compile_plan(coerced, ged.pattern).matches():
+        for match in find_homomorphisms(ged.pattern, coerced):
             if not _satisfies(eq, ged.X, match):
                 continue
             for literal in sorted(ged.Y, key=str):

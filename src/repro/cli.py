@@ -534,61 +534,68 @@ def cmd_subscribe(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    """`explain`: print each rule's compiled match plan for a graph.
+    """`explain`: print the match program validation runs for each rule.
 
-    Shows the plan-compiled matching core's decisions: the interned
-    graph view the plan binds to, per-variable candidate pools, the
-    cost-ordered step list (scan / extend with its edge checks and
-    self-loop checks, estimated per-frame cost), and the attr-filter
-    stage derived from the rule's X constant literals (applied through
-    the attribute inverted index at match time when an index is
-    attached).
+    Each rule is rendered with the program of its group of rules
+    sharing a pattern and an X-restriction — the enumerations
+    validation's grouped scan performs: the binding order ranked from
+    the group's effective candidate pools (the pattern's pools narrowed
+    by the attr-filter stage, which an attached index derives from the
+    rule's X constant literals), each step's pool size, edge checks and
+    self-loop checks, and an estimated per-frame cost.  The rendered
+    order and steps are the ones validation executes.
 
     With ``--observed`` each step also carries the counters of one
-    profiled run of the plan per group of rules sharing a pattern and
-    an X-restriction — the enumerations validation's grouped scan
-    performs.  Validation runs them in pool mode over the same
-    candidate pools and order function, so the rendered order and
-    steps are the ones it executes.
+    profiled run of its group's program.
     """
     from repro.deps.literals import ConstantLiteral
-    from repro.matching.plan import compile_plan
+    from repro.indexing import attach_index, get_index
+    from repro.matching.plan import compile_sigma, execute_over_pools, explain_pools
     from repro.reasoning.validation import sigma_groups
 
     graph = load_graph(args.graph)
     rules = load_rules(args.rules)
     if getattr(args, "index", False):
-        from repro.indexing import attach_index
-
         attach_index(graph)
+    pools = compile_sigma(graph, [ged.pattern for ged in rules])
+    groups = sigma_groups(graph, rules)
     observed = getattr(args, "observed", False)
+    totals = [{} if observed else None for _ in groups]
     if observed:
-        # Exhaust each Σ group's plan once under telemetry: that fills
-        # the per-step counters the observed rendering annotates the
-        # plans with (validation itself runs no view plan).
+        # Exhaust each group's program once under telemetry: that fills
+        # the per-step counters the rendering annotates.
         from repro import telemetry
 
         was_enabled = telemetry.enabled()
         telemetry.enable()
         try:
-            for pattern, restrict, _ in sigma_groups(graph, rules):
-                for _ in compile_plan(graph, pattern).matches(restrict=restrict):
+            for (pattern, restrict, _), run_totals in zip(groups, totals):
+                for _ in execute_over_pools(
+                    pattern, graph, pools[pattern], restrict=restrict, observed=run_totals
+                ):
                     pass
         finally:
             if not was_enabled:
                 telemetry.disable()
+    group_of = {
+        position: (restrict, run_totals)
+        for (_, restrict, members), run_totals in zip(groups, totals)
+        for position in members
+    }
+    indexed = get_index(graph) is not None
+    source = "attribute inverted index" if indexed else "no index — full pools"
     for position, ged in enumerate(rules):
         if position:
             print()
         print(f"== {ged.name or 'GED'} ==")
-        plan = compile_plan(graph, ged.pattern)
-        print(plan.explain(observed=observed))
-        filters = [l for l in ged.X if isinstance(l, ConstantLiteral)]
-        for literal in filters:
-            source = (
-                "attribute inverted index" if plan.indexed else "no index — full pools"
-            )
-            print(f"  attr-filter {literal.var}: {literal}  [{source}]")
+        restrict, run_totals = group_of[position]
+        text = explain_pools(
+            ged.pattern, graph, pools[ged.pattern], restrict=restrict, observed=run_totals
+        )
+        print(text)
+        for literal in ged.X:
+            if isinstance(literal, ConstantLiteral):
+                print(f"  attr-filter {literal.var}: {literal}  [{source}]")
     return 0
 
 
@@ -1085,7 +1092,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             default=None,
             metavar="MS",
-            help="capture MatchPlan.explain(observed=True) for any "
+            help="capture the observed match plan of any "
             "validation shard slower than MS milliseconds "
             "(exported with --telemetry; env: REPRO_SLOW_PLAN_MS)",
         )

@@ -28,7 +28,7 @@ from repro.deps.literals import (
     VariableLiteral,
 )
 from repro.graph.graph import Graph, Value
-from repro.matching.plan import compile_plan
+from repro.matching.homomorphism import find_homomorphisms
 from repro.patterns.pattern import Pattern
 
 
@@ -100,15 +100,14 @@ def build_match_table(pattern: Pattern, graph: Graph, limit: int | None = None) 
     """Enumerate matches of ``pattern`` in ``graph`` into a table.
 
     Discovery profiles many candidate patterns against one unchanging
-    graph, so the enumeration runs each pattern's compiled plan over
-    the graph's shared interned view — the view is built once for the
-    whole discovery sweep, and plans for repeated patterns (support
-    recounts, confidence scans) come from the view's cache.
+    graph, so each pattern's candidate pools are derived once for the
+    whole discovery sweep: repeated patterns (support recounts,
+    confidence scans) reuse them from the graph's pool cache.
     """
     rows: list[dict[str, str]] = []
     values: list[dict[tuple[str, str], Value]] = []
     columns: dict[tuple[str, str], None] = {}
-    for match in compile_plan(graph, pattern).matches(limit=limit):
+    for match in find_homomorphisms(pattern, graph, limit=limit):
         rows.append(dict(match))
         row_values: dict[tuple[str, str], Value] = {}
         for variable, node_id in match.items():

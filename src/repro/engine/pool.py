@@ -18,6 +18,10 @@ reuses the warm workers with zero broadcast cost, while any mutation —
 or a change in worker count or index attachment — retires the stale
 pool and builds a fresh one.  Dropping the last reference to a graph
 lets both its index and its pool be collected.
+
+Workers match like every other consumer: each derives a pattern's
+candidate pools on the first shard that needs them and keeps them on
+its restored graph (:mod:`repro.matching.view`) for its lifetime.
 """
 
 from __future__ import annotations
@@ -58,14 +62,13 @@ _WORKER_EXTRA = None
 
 
 def _initialize_worker(payload: bytes, extra_payload: bytes | None = None) -> None:
-    """Pool initializer: rebuild graph (+ index + plans) from the broadcast.
+    """Pool initializer: rebuild graph (+ index) from the broadcast.
 
-    Compiled match plans memoize automatically from here on: the worker
+    Candidate pools memoize automatically from here on: the worker
     graph never mutates (a coordinator mutation retires the whole
-    pool), so its :mod:`repro.matching.view` view — and every
-    :class:`~repro.matching.plan.MatchPlan` cached on it, including the
-    ones the snapshot shipped ready-made — stays warm for the worker's
-    lifetime and serves every later shard of the same pattern.
+    pool), so the pools cached on it (:mod:`repro.matching.view`) stay
+    warm for the worker's lifetime and serve every later shard of the
+    same pattern.
     """
     import pickle
 
@@ -93,10 +96,9 @@ def _validate_batch(
 
     One batch is one round trip: the scheduler packs units so a call
     dispatches a handful of balanced futures instead of one per unit.
-    Match plans are compiled (or were shipped in the broadcast) once per
-    pattern and stay memoized on the worker's graph view for its
-    lifetime — the shard kernel hits the warm plan through the ordinary
-    matching API.
+    Candidate pools are derived once per pattern and stay cached on
+    the worker's graph for its lifetime — the shard kernel finds them
+    warm through the ordinary matching API.
 
     ``collect=True`` (the coordinator's telemetry is enabled) runs the
     batch under a fresh metrics registry and returns ``(results,
@@ -169,8 +171,9 @@ def _fragment_validate_batch(
     batch: tuple[FragmentUnit, ...], collect: bool = False, trace=None
 ):
     """Run one fragment's (dependency, local pivots) units on the
-    resident fragment graph — the ordinary shard kernel, local plans
-    memoized on the fragment's view for the worker's lifetime.
+    resident fragment graph — the ordinary shard kernel, local
+    candidate pools cached on the fragment graph for the worker's
+    lifetime.
 
     ``collect=True`` returns ``(results, snapshot)``; the snapshot's
     executor counters are additionally attributed to this fragment
@@ -525,16 +528,10 @@ def get_pool(
     workers: int | None = None,
     *,
     ensure_index: bool = False,
-    patterns=None,
 ) -> EnginePool:
     """The warm pool for ``graph``, broadcasting a snapshot only when
     no current pool matches (same mutation version, worker count, and
     index attachment — any mismatch retires the old pool).
-
-    ``patterns`` (when a fresh pool must be built) embeds those
-    patterns' compiled candidate pools in the broadcast so workers
-    start with warm plans; a reused pool ignores it (its workers
-    compiled and memoized the plans on first use).
     """
     resolved = resolve_workers(workers)
     if ensure_index:
@@ -567,7 +564,7 @@ def get_pool(
             sink.incr("engine.pool.invalidated.index")
         pool.close()
     sink.incr("engine.pool.cold_builds")
-    pool = EnginePool(snapshot_graph(graph, patterns=patterns), resolved)
+    pool = EnginePool(snapshot_graph(graph), resolved)
     _pools.set(graph, pool)
     # The registry holds the graph weakly: when the graph is collected
     # the pool entry vanishes, so close the workers right then instead

@@ -17,15 +17,10 @@ rebuild the derived state" half of the fragment-per-worker model.
 ``version`` is the source graph's mutation counter at capture time; the
 pool registry keys on it so a mutated graph never reuses stale workers.
 
-**Compiled plans ride the broadcast.**  When the coordinator knows the
-rule set at snapshot time it passes the patterns: each one's compiled
-candidate pools (sorted interned slot arrays — a few integer columns,
-nearly free to pickle) are embedded as ``plan_pools``.  Because the
-:mod:`repro.matching.view` interning is canonical (sorted node ids),
-the coordinator's slots are valid verbatim in every worker's rebuilt
-view, so workers install ready-made
-:class:`~repro.matching.plan.MatchPlan` objects at restore time instead
-of re-deriving candidate sets per pattern.
+Matching state is derived state too: a worker derives each pattern's
+candidate pools on first use and caches them on its restored graph
+(:mod:`repro.matching.view`), which never mutates, so they serve every
+later shard of that pattern.
 """
 
 from __future__ import annotations
@@ -49,21 +44,13 @@ class GraphSnapshot:
     indexed: bool
     num_nodes: int
     num_edges: int
-    #: Optional pre-compiled match plans: ``(pattern, {var: slot array})``
-    #: pairs, installed into the worker's view at restore time.
-    plan_pools: tuple = ()
 
     def restore(self) -> Graph:
         """Rebuild the graph (and, when ``indexed``, attach a fresh
-        index; and install any broadcast plans) — once per worker,
-        never per task."""
-        from repro.matching.plan import install_plan
-
+        index) — once per worker, never per task."""
         graph = graph_from_arrays(self.arrays)
         if self.indexed:
             attach_index(graph)
-        for pattern, pools in self.plan_pools:
-            install_plan(graph, pattern, pools)
         return graph
 
     def payload(self) -> bytes:
@@ -71,7 +58,7 @@ class GraphSnapshot:
         return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def snapshot_graph(graph: Graph, *, ensure_index: bool = False, patterns=None) -> GraphSnapshot:
+def snapshot_graph(graph: Graph, *, ensure_index: bool = False) -> GraphSnapshot:
     """Capture ``graph`` for broadcast.
 
     ``indexed`` mirrors the coordinator's state: workers rebuild an
@@ -79,30 +66,16 @@ def snapshot_graph(graph: Graph, *, ensure_index: bool = False, patterns=None) -
     engine-pooled runs make the same index-vs-unindexed choice as the
     serial reference.  ``ensure_index=True`` attaches one first (the
     CLI ``engine`` command's default — building once and broadcasting
-    is the engine's whole point).  ``patterns`` embeds each pattern's
-    compiled candidate pools (compiling them coordinator-side if not
-    already cached) so workers skip per-pattern candidate derivation.
+    is the engine's whole point).
     """
-    from repro.matching.plan import compile_plan
-
     if ensure_index and get_index(graph) is None:
         attach_index(graph)
-    plan_pools = []
-    if patterns:
-        seen = set()
-        for pattern in patterns:
-            if pattern in seen:
-                continue
-            seen.add(pattern)
-            plan = compile_plan(graph, pattern)
-            plan_pools.append((pattern, dict(plan.pools_sorted)))
     return GraphSnapshot(
         arrays=graph_to_arrays(graph),
         version=graph.version,
         indexed=get_index(graph) is not None,
         num_nodes=graph.num_nodes,
         num_edges=graph.num_edges,
-        plan_pools=tuple(plan_pools),
     )
 
 

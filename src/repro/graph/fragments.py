@@ -543,7 +543,7 @@ class FragmentedGraph:
     (any neighbor is interior or border there), so one fragment always
     suffices.  Node order is canonical (sorted ids) rather than
     insertion order — every consumer that needs determinism sorts
-    anyway (the matcher's interned views sort by id).
+    anyway (the matcher sorts its scanned pools by id).
 
     Mutation goes through :meth:`apply_update` only, which routes the
     batch per fragment (:func:`route_update`) and applies each slice via

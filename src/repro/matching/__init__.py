@@ -1,9 +1,10 @@
 """Pattern matching: homomorphism semantics (Section 2/3) + injective variant.
 
-The hot path is plan-compiled: :func:`compile_plan` turns a pattern
-into a :class:`MatchPlan` over an interned CSR :class:`GraphView`
-(cached per graph version), and :func:`find_homomorphisms` is the thin
-compatibility wrapper every consumer already speaks.
+The hot path is plan-compiled: every consumer runs one executor
+(:func:`execute_over_pools`) over a pattern's candidate pools, cached
+per graph version (:mod:`repro.matching.view`), and
+:func:`find_homomorphisms` is the thin compatibility wrapper every
+consumer already speaks.
 """
 
 from repro.matching.candidates import candidate_sets, order_for_sizes, variable_order
@@ -29,24 +30,19 @@ from repro.matching.isomorphism import (
     find_injective_matches,
     has_injective_match,
 )
-from repro.matching.plan import MatchPlan, compile_plan, execute_over_pools
-from repro.matching.view import GraphView, get_view
+from repro.matching.plan import execute_over_pools
 
 __all__ = [
-    "GraphView",
     "Match",
-    "MatchPlan",
     "ball_closes_locally",
     "ball_levels",
     "candidate_sets",
-    "compile_plan",
     "count_injective_matches",
     "count_matches",
     "execute_over_pools",
     "find_homomorphisms",
     "find_injective_matches",
     "find_match",
-    "get_view",
     "has_injective_match",
     "has_match",
     "is_homomorphism",

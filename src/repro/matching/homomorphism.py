@@ -14,15 +14,14 @@ only to reproduce that comparison.
 
 The public entry point :func:`find_homomorphisms` is a thin
 compatibility wrapper over the plan-compiled core of
-:mod:`repro.matching.plan`: patterns are compiled once per (graph,
-version, index-attachment) into a :class:`~repro.matching.plan.MatchPlan`
-over an interned CSR :class:`~repro.matching.view.GraphView`, and every
-call executes the cached plan.  Calls that bring their own candidate
-pools run the same executor view-free over those pools.  Either way
-the yielded stream — ``dict[variable, node_id]`` matches,
-deterministic order — is byte-identical to the historical recursive
-enumerator, which is preserved below as :func:`seed_find_homomorphisms`
-(the differential-test oracle and benchmark baseline).
+:mod:`repro.matching.plan`: each call runs the plan executor
+(:func:`~repro.matching.plan.execute_over_pools`) over the pattern's
+candidate pools, derived once per (graph version, index attachment)
+and cached (:func:`~repro.matching.plan.compile_sigma`).  The yielded
+stream — ``dict[variable, node_id]`` matches, deterministic order — is
+byte-identical to the historical recursive enumerator, which is
+preserved below as :func:`seed_find_homomorphisms` (the
+differential-test oracle and benchmark baseline).
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from collections.abc import Iterator, Mapping
 from repro.errors import PatternError
 from repro.graph.graph import Graph
 from repro.matching.candidates import candidate_sets, variable_order
+from repro.matching.plan import compile_sigma, count_over_pools, execute_over_pools
 from repro.patterns.labels import WILDCARD
 from repro.patterns.pattern import Pattern
 
@@ -44,7 +44,6 @@ def find_homomorphisms(
     fixed: Mapping[str, str] | None = None,
     limit: int | None = None,
     restrict: Mapping[str, "set[str] | frozenset[str]"] | None = None,
-    candidates: Mapping[str, "set[str]"] | None = None,
 ) -> Iterator[Match]:
     """Enumerate matches of ``pattern`` in ``graph``.
 
@@ -63,22 +62,11 @@ def find_homomorphisms(
         index-aware validation layer derives them from X-literals via
         the attribute inverted index, which preserves the violation set
         exactly.
-    candidates:
-        optional precomputed :func:`~repro.matching.candidates.candidate_sets`
-        result for exactly this (pattern, graph) pair, as produced by a
-        caller that scopes the search itself.  The mapping is not
-        mutated, and the search runs view-free over exactly these
-        pools.
     """
-    from repro.matching.plan import compile_plan, execute_over_pools
-
-    if candidates is not None:
-        yield from execute_over_pools(
-            pattern, graph, candidates, fixed=fixed, restrict=restrict, limit=limit
-        )
-        return
-    plan = compile_plan(graph, pattern)
-    yield from plan.matches(fixed=fixed, restrict=restrict, limit=limit)
+    pools = compile_sigma(graph, (pattern,))[pattern]
+    yield from execute_over_pools(
+        pattern, graph, pools, fixed=fixed, restrict=restrict, limit=limit
+    )
 
 
 def seed_find_homomorphisms(
@@ -178,11 +166,10 @@ def has_match(pattern: Pattern, graph: Graph, fixed: Mapping[str, str] | None = 
 
 
 def count_matches(pattern: Pattern, graph: Graph) -> int:
-    """The number of matches, counted by the compiled plan without
-    materializing them (:meth:`~repro.matching.plan.MatchPlan.count`)."""
-    from repro.matching.plan import compile_plan
-
-    return compile_plan(graph, pattern).count()
+    """The number of matches, counted by the plan executor over the
+    pattern's cached pools without materializing them
+    (:func:`~repro.matching.plan.count_over_pools`)."""
+    return count_over_pools(pattern, graph, compile_sigma(graph, (pattern,))[pattern])
 
 
 def is_homomorphism(pattern: Pattern, graph: Graph, mapping: Mapping[str, str]) -> bool:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.chase.canonical import canonical_graph
-from repro.matching.plan import compile_plan
+from repro.matching.homomorphism import find_match
 from repro.patterns.pattern import Pattern
 
 
@@ -35,10 +35,10 @@ def _cached_canonical(pattern: Pattern) -> object:
 
     Containment checks run in pairwise loops (cover computation probes
     every rule against every other); caching the canonical graph keeps
-    its interned view — and every plan compiled against it — alive in
-    the view registry, so the O(n²) probe loop pays one graph build and
-    one plan compilation per (target, probe-pattern) pair instead of
-    rebuilding both per probe.
+    its candidate-pool cache (:mod:`repro.matching.view`) alive, so the
+    O(n²) probe loop pays one graph build per target and one pool
+    derivation per (target, probe-pattern) pair instead of rebuilding
+    both per probe.
     """
     return canonical_graph(pattern)
 
@@ -48,12 +48,9 @@ def subsumes(q1: Pattern, q2: Pattern) -> bool:
     ``q2``, i.e. a homomorphism ``q2 → q1`` exists.
 
     Returns True exactly when matching ``q2`` in the canonical graph
-    G_{q1} succeeds — executed as ``q2``'s compiled plan over G_{q1}'s
-    cached view, stopping at the first witness.
+    G_{q1} succeeds — stopping at the first witness.
     """
-    for _ in compile_plan(_cached_canonical(q1), q2).matches(limit=1):
-        return True
-    return False
+    return find_match(q2, _cached_canonical(q1)) is not None
 
 
 def witness_homomorphism(q1: Pattern, q2: Pattern) -> dict[str, str] | None:
@@ -62,9 +59,7 @@ def witness_homomorphism(q1: Pattern, q2: Pattern) -> dict[str, str] | None:
     This is the ``f`` of Example 5: composing a match h of ``q1`` with
     the witness yields the induced match ``h ∘ f`` of ``q2``.
     """
-    for match in compile_plan(_cached_canonical(q1), q2).matches(limit=1):
-        return dict(match)
-    return None
+    return find_match(q2, _cached_canonical(q1))
 
 
 def contained_in(q1: Pattern, q2: Pattern) -> bool:

@@ -30,7 +30,7 @@ from repro.chase.canonical import canonical_graph
 from repro.chase.engine import ChaseResult, chase
 from repro.deps.ged import GED
 from repro.deps.literals import ConstantLiteral, Literal
-from repro.matching.plan import compile_plan
+from repro.matching.homomorphism import find_homomorphisms
 from repro.patterns.pattern import Pattern
 
 
@@ -63,13 +63,13 @@ def _proper_retraction(pattern: Pattern) -> dict[str, str] | None:
 
     Endomorphisms are matches of the pattern in its own canonical
     graph; node ids of G_Q are exactly the variables, so a match *is*
-    a variable → variable map.  Enumerated via the compiled plan of the
-    pattern over its own canonical view (each core iteration shrinks
-    the pattern, so each round compiles one fresh, tiny plan).
+    a variable → variable map.  Enumerated over the pattern's own
+    canonical graph (each core iteration shrinks the pattern, so each
+    round matches one fresh, tiny graph).
     """
     g_q = canonical_graph(pattern)
     n = pattern.num_variables
-    for match in compile_plan(g_q, pattern).matches():
+    for match in find_homomorphisms(pattern, g_q):
         if len(set(match.values())) < n:
             return dict(match)
     return None

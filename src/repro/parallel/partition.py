@@ -4,8 +4,10 @@ A match of Q[x̄] assigns the *pivot* variable one concrete node, so
 partitioning the pivot's candidate set into k disjoint blocks partitions
 the match set itself: every match lands in exactly one block (the one
 holding its pivot image).  Enumerating each block independently with the
-pivot pinned (the matcher's ``fixed`` parameter restricted to a shard's
-candidates) and unioning results is therefore exact.
+pivot's pool restricted to the block (the matcher's ``restrict``
+parameter) and unioning results is therefore exact.  The pivot's pool is
+the matcher's own cached candidate pool
+(:func:`~repro.matching.plan.compile_sigma`).
 
 Pivot choice matters for balance: we pick the variable with the largest
 candidate set, which yields the most granular partition (a pivot with 3
@@ -21,7 +23,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.graph.graph import Graph
-from repro.matching.plan import compile_plan
+from repro.matching.plan import compile_sigma
 from repro.patterns.pattern import Pattern
 
 
@@ -51,20 +53,18 @@ def plan_pivot(pattern: Pattern, graph: Graph) -> tuple[str, list[str]]:
     order — the single definition every shard planner uses (round-robin
     shards here, ownership partitions in the fragment planner).
 
-    The pools come from the compiled MatchPlan — cached on the graph's
-    view — so repeated shard planning (the scheduler per Σ rule, the
-    fragment planner per fragment) never re-derives candidate sets.
-    Canonical interning makes ascending slot order equal ascending id
-    order, so no sort is paid.  When any variable's pool is empty the
-    pattern cannot match: the returned pool is empty and the pivot is
-    the (first) emptiest variable (:func:`choose_pivot`).
+    The pools are the matcher's own
+    (:func:`~repro.matching.plan.compile_sigma`, cached per graph
+    version), so repeated shard planning (the scheduler per Σ rule)
+    never re-derives candidate sets; only the pivot's pool is sorted.
+    When any variable's pool is empty the pattern cannot match: the
+    returned pool is empty and the pivot is the (first) emptiest
+    variable (:func:`choose_pivot`).
     """
-    plan = compile_plan(graph, pattern)
-    pools = plan.pools_sorted
+    pools = compile_sigma(graph, (pattern,))[pattern]
     sizes = {variable: len(pools[variable]) for variable in pattern.variables}
     pivot = choose_pivot(pattern, sizes)
-    node_of = plan.view.node_of
-    return pivot, [node_of[slot] for slot in pools[pivot]]
+    return pivot, sorted(pools[pivot])
 
 
 def choose_pivot(pattern: Pattern, sizes: Mapping[str, int]) -> str:

@@ -30,7 +30,11 @@ three backends:
 
 All backends return identical, deterministically ordered violations —
 a property the test suite asserts — because sharding by a pivot
-variable partitions the match set exactly.
+variable partitions the match set exactly.  Every backend runs the one
+plan executor over each pattern's candidate pools, which are derived
+once per (graph version, index attachment): in the coordinator for the
+serial scan and in-process shards, and once per worker on the engine's
+immutable snapshot graph.
 
 Index sharing: when a :mod:`repro.indexing` index is attached to the
 graph, the serial scan and the fragment backend's in-process shards
@@ -52,7 +56,7 @@ from repro.deps.ged import GED
 from repro.graph.fragments import Fragmentation, get_fragments
 from repro.graph.graph import Graph
 from repro.indexing.registry import get_index
-from repro.matching.homomorphism import find_homomorphisms
+from repro.matching.plan import compile_sigma, execute_over_pools, explain_pools
 from repro.matching.locality import pivot_radius, split_local_pivots
 from repro.reasoning.validation import (
     Violation,
@@ -122,31 +126,33 @@ def run_shard(
     This is the kernel of the sharding backends — fragment shards call
     it in-process, engine workers against their rebuilt graph.  The
     shard is enforced by *restricting* the pivot's candidate pool to
-    the shard's ids in a single matcher invocation, which executes the
-    pattern's compiled :class:`~repro.matching.plan.MatchPlan` — cached
-    on the graph's view, so in-process shards and a warm worker's later
-    shards all reuse one compilation (engine workers may even start
-    with it pre-installed from the snapshot broadcast).  With an index
-    attached the pools are additionally restricted to nodes that can
-    satisfy X's constant literals (a necessary condition, so the
-    violation set is unchanged — see
+    the shard's ids in a single run of the plan executor
+    (:func:`~repro.matching.plan.execute_over_pools`) over the
+    pattern's candidate pools — cached per graph version, so in-process
+    shards and a warm worker's later shards all derive them once.  With
+    an index attached the pools are additionally restricted to nodes
+    that can satisfy X's constant literals (a necessary condition, so
+    the violation set is unchanged — see
     :func:`~repro.reasoning.validation.x_literal_restrictions`).
 
     With telemetry enabled and a slow-plan threshold configured
     (:mod:`repro.telemetry.slowlog`), a shard that exceeds the
-    threshold captures the executed plan's
-    ``MatchPlan.explain(observed=True)`` into the slow-plan ring
-    buffer — the plan is view-cached, so re-compiling to explain it is
-    a lookup, and the observed frame counts are the ones this very
-    workload accumulated.
+    threshold captures the program it executed — its binding order
+    and pivot-restricted pools — with this run's own observed frame
+    counts (:func:`~repro.matching.plan.explain_pools`) into the
+    slow-plan ring buffer.
     """
     started = time.perf_counter()
     restrict: dict[str, set[str]] = dict(x_literal_restrictions(graph, ged) or {})
     shard_pool = set(shard)
     restrict[pivot] = restrict[pivot] & shard_pool if pivot in restrict else shard_pool
+    pools = compile_sigma(graph, (ged.pattern,))[ged.pattern]
+    observed: dict[str, list[int]] = {}
     violations: list[Violation] = []
     matches = 0
-    for match in find_homomorphisms(ged.pattern, graph, restrict=restrict):
+    for match in execute_over_pools(
+        ged.pattern, graph, pools, restrict=restrict, observed=observed
+    ):
         matches += 1
         failed = evaluate_match(graph, ged, match)
         if failed:
@@ -155,16 +161,10 @@ def run_shard(
     if _metrics.sink().enabled:
         threshold = _slowlog.slow_plan_threshold()
         if threshold is not None and elapsed >= threshold:
-            from repro.matching.plan import compile_plan
-
-            # The plan is cached on the graph's view — this is a lookup,
-            # not a re-compilation — and its observed totals are the
-            # ones this shard's execution just accumulated.
-            plan = compile_plan(graph, ged.pattern)
             _slowlog.record_slow_plan(
                 ged.name or "GED",
                 elapsed,
-                plan.explain(observed=True),
+                explain_pools(ged.pattern, graph, pools, restrict=restrict, observed=observed),
                 pivot=pivot,
                 shard_index=shard_index,
                 shard_nodes=len(shard),
@@ -193,11 +193,11 @@ def _run_sigma_batch(
     whose pattern cannot match get no stats row, as their zero-shard
     plans get none on the sharding backends.
 
-    Like the scan, the accounting builds no graph view: a rule's
-    ``candidates`` is the size of the pivot pool
-    :func:`~repro.parallel.partition.plan_pivot` would shard, chosen by
-    the same :func:`~repro.parallel.partition.choose_pivot` over the
-    pools the scan ran on.
+    The accounting sorts no pool: a rule's ``candidates`` is the size
+    of the pivot pool :func:`~repro.parallel.partition.plan_pivot`
+    would shard, chosen by the same
+    :func:`~repro.parallel.partition.choose_pivot` over the pools the
+    scan ran on.
     """
     started = time.perf_counter()
     buckets, match_counts, pools = sigma_scan(graph, sigma)
@@ -230,8 +230,8 @@ def plan_fragment_pivots(
     """Fragment-resident work for one dependency: the pivot variable,
     per-fragment locally decidable pivot lists, and the escalated rest.
 
-    The pivot and its candidate pool come from the compiled
-    :class:`~repro.matching.plan.MatchPlan` (the same choice
+    The pivot and its candidate pool come from
+    :func:`~repro.parallel.partition.plan_pivot` (the same choice
     :func:`~repro.parallel.partition.plan_shards` makes); ownership
     partitions the pool exactly, and within each fragment the
     ball-completeness rule (:func:`~repro.matching.locality.split_local_pivots`)
@@ -382,7 +382,7 @@ def _dispatch_backend(
     elif backend == "engine" and workers > 1 and sigma:
         from repro.engine.pool import get_pool
 
-        pool = get_pool(graph, workers, patterns=[ged.pattern for ged in sigma])
+        pool = get_pool(graph, workers)
         units = pool.plan_validation(graph, sigma)
         if units:
             results = pool.validate_units(units)

@@ -137,10 +137,9 @@ def find_violations(
 ) -> list[Violation]:
     """All (up to ``limit``, which must be positive) violations of Σ in G.
 
-    Pool mode: each dependency's pattern runs the plan executor
+    Each dependency's pattern runs the plan executor
     (:func:`~repro.matching.plan.execute_over_pools`) over its candidate
-    pools, straight on the graph's adjacency sets — no graph view is
-    built, since a one-shot scan would never reuse it.  The pools come
+    pools, straight on the graph's adjacency sets.  The pools come
     from :func:`~repro.matching.plan.compile_sigma`, cached per (graph
     version, index attachment), so repeated validations of an unmutated
     graph derive them once.  The X-literal restriction pools of
@@ -218,7 +217,7 @@ def sigma_scan(
     """The grouped full Σ scan: per-rule violation lists and match
     counts, and the candidate pools it ran on (per distinct pattern).
 
-    One pool-mode ``execute_over_pools(..., restrict=...)`` run per
+    One ``execute_over_pools(..., restrict=...)`` run per
     :func:`sigma_groups` group, with every member rule evaluated on
     each match.  Each rule's list is exactly what its solo run yields,
     because a group's restriction is each member's own.  Pools come

@@ -32,11 +32,11 @@ All of these are necessary conditions, so the kernel finds exactly the
 violations whose match meets the touched set — work proportional to the
 update's neighborhood, not to |G|.
 
-Each pin runs the plan executor **view-free**
+Each pin runs the plan executor
 (:func:`~repro.matching.plan.execute_over_pools`): the binding order and
 step program are memoized per (pattern, effective pool sizes), so they
-are derived once, not once per pinned node — and no O(|G|) graph-view
-build is paid on a graph that mutates every batch.
+are derived once, not once per pinned node — and the live label rows
+cost no pool derivation or copy on a graph that mutates every batch.
 
 **Σ grouping** rides the observation that rule sets are families of
 literal variants over few distinct skeletons.  The kernel groups Σ by

@@ -35,7 +35,7 @@ from repro.deps.ged import GED
 from repro.graph.graph import Graph
 from repro.graph.update import GraphUpdate
 from repro.matching.homomorphism import is_homomorphism
-from repro.matching.plan import release_sigma_pools
+from repro.matching.view import release_view
 from repro.reasoning.validation import Violation, evaluate_match, find_violations
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import spans as _spans
@@ -194,7 +194,7 @@ class ViolationLedger:
             self._insert(key, violation)
         # From here on the ledger follows the graph by deltas; no later
         # scan reads this version's pools.
-        release_sigma_pools(self.graph)
+        release_view(self.graph)
         return self.violations()
 
     def refresh(self, update: GraphUpdate) -> StreamDelta:

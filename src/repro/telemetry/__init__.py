@@ -14,9 +14,9 @@ The observability substrate of the layered runtime (docs/telemetry.md):
   pickle/JSON-friendly :class:`TraceContext` carried through worker
   task payloads and serve wire frames, plus :func:`assemble_traces` to
   rebuild one causal tree per update batch.
-* :mod:`repro.telemetry.slowlog` — ring-buffered
-  ``MatchPlan.explain(observed=True)`` captures for plan executions
-  over a configurable latency threshold.
+* :mod:`repro.telemetry.slowlog` — ring-buffered observed
+  match-plan captures (:func:`~repro.matching.plan.explain_pools`) for
+  shard executions over a configurable latency threshold.
 * cross-process aggregation — engine/fragment workers run tasks under
   :func:`collecting` and piggyback plain-dict snapshots on task
   results (worker spans and slow plans ride the same snapshot); the

@@ -1,8 +1,8 @@
-"""Slow-plan capture: ``MatchPlan.explain(observed=True)`` on the spot.
+"""Slow-plan capture: the observed match plan of a slow shard, on the spot.
 
 A plan execution that blows past a latency threshold is exactly the
-moment the plan's observed frame counts are worth keeping — waiting for
-the operator to re-run ``cli explain`` loses the workload that was slow.
+moment its observed frame counts are worth keeping — waiting for the
+operator to re-run ``cli explain`` loses the workload that was slow.
 :func:`record_slow_plan` snapshots the explain text (plus the shard
 context and the active trace ref) into a bounded ring buffer; records
 ride the NDJSON telemetry export as ``{"type": "slow_plan", ...}``
@@ -87,8 +87,9 @@ def set_slow_plan_capacity(capacity: int) -> None:
 def record_slow_plan(name: str, seconds: float, explain: str, **attrs: Any) -> None:
     """Capture one slow plan execution into the ring buffer.
 
-    ``explain`` is the pre-rendered ``MatchPlan.explain(observed=True)``
-    text; ``attrs`` carry shard context (pivot, shard size, ...).  The
+    ``explain`` is the pre-rendered program text with the run's
+    observed totals (:func:`~repro.matching.plan.explain_pools`);
+    ``attrs`` carry shard context (pivot, shard size, ...).  The
     active trace — if any — is recorded as ``trace_id``/``parent_ref``
     so ``cli trace`` can place the record inside the batch's tree.
     """

@@ -32,7 +32,8 @@ def test_checker_catches_a_broken_link(tmp_path, monkeypatch):
     docs.mkdir()
     (tmp_path / "README.md").write_text(
         "# Title\n\nSee [missing](docs/nope.md) and [bad](#no-such-heading).\n"
-        "`repro.matching.plan.MatchPlan` resolves; `repro.matching.no_such_module` does not.\n"
+        "`repro.matching.plan.execute_over_pools` resolves; "
+        "`repro.matching.no_such_module` does not.\n"
     )
     (docs / "page.md").write_text(
         "# Page\n\nBad block:\n\n```json\n{not json}\n```\n"
@@ -52,5 +53,5 @@ def test_checker_catches_a_broken_link(tmp_path, monkeypatch):
 def test_github_slugs():
     slug = check_docs.github_slug
     assert slug("8. Versioning") == "8-versioning"
-    assert slug("The `GraphView` layer") == "the-graphview-layer"
+    assert slug("The `PoolView` layer") == "the-poolview-layer"
     assert slug("Errors and goodbye") == "errors-and-goodbye"

@@ -106,7 +106,7 @@ class TestPoolAdapters:
         """A private pool for one validation, as the perf gate's one-shot
         measurement builds it: snapshot, start-up broadcast, one
         validation, close."""
-        pool = EnginePool(snapshot_graph(graph, patterns=[ged.pattern for ged in sigma]), workers)
+        pool = EnginePool(snapshot_graph(graph), workers)
         try:
             results = pool.validate_units(plan_tasks(graph, sigma, workers))
         finally:

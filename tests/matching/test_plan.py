@@ -1,11 +1,10 @@
-"""Unit tests for the interned view / compiled plan layers.
+"""Unit tests for the candidate-pool cache and the plan executor's layers.
 
-Covers the pieces the differential suite treats as a black box: the
-canonical interning and CSR structure of :class:`GraphView`, plan
+Covers the pieces the differential suite treats as a black box: pool
 caching and version-based invalidation, the explain rendering and CLI
-subcommand, compiled-plan reuse inside engine workers, plan shipping in
-snapshot broadcasts, the counting mode, and the pattern-program cache
-the streaming delta kernel leans on.
+subcommand, pool reuse inside engine workers, snapshot restores, the
+counting mode, and the pattern-program cache the streaming delta
+kernel leans on.
 """
 
 import pytest
@@ -15,15 +14,10 @@ from repro.engine.snapshot import snapshot_graph
 from repro.engine.scheduler import plan_tasks
 from repro.graph import GraphBuilder
 from repro.indexing import attach_index, detach_index
-from repro.matching import (
-    compile_plan,
-    count_matches,
-    find_homomorphisms,
-    get_view,
-    seed_find_homomorphisms,
-)
-from repro.matching.plan import compile_sigma, program_cache_info
-from repro.matching.view import build_view, peek_view
+from repro.matching import count_matches, find_homomorphisms, seed_find_homomorphisms
+from repro.matching import plan as plan_module
+from repro.matching.plan import compile_sigma, explain_pools, program_cache_info
+from repro.matching.view import get_view, peek_view, release_view
 from repro.patterns import WILDCARD, Pattern
 from repro.telemetry import metrics
 from repro.workloads import bounded_rule_set, validation_workload
@@ -44,36 +38,7 @@ def diamond_graph():
     )
 
 
-class TestGraphView:
-    def test_canonical_interning(self):
-        graph = diamond_graph()
-        view = build_view(graph)
-        assert view.node_of == ("a", "b", "c", "d")  # sorted, not insertion, order
-        assert [view.slot_of[n] for n in view.node_of] == [0, 1, 2, 3]
-        assert set(view.labels) == {"user", "item", "shop"}
-        assert view.pools_by_label["user"] == (0, 1)
-
-    def test_csr_rows_match_graph_adjacency(self):
-        graph = diamond_graph()
-        view = build_view(graph)
-        for node_id in graph.node_ids:
-            slot = view.slot_of[node_id]
-            for label in graph.edge_labels | {"absent"}:
-                expected = {view.slot_of[t] for t in graph.successors(node_id, label)}
-                assert view.row_set(True, label, slot) == expected
-                assert view.degree(True, label, slot) == graph.out_degree(node_id, label)
-                expected_in = {
-                    view.slot_of[s] for s in graph.predecessors(node_id, label)
-                }
-                assert view.row_set(False, label, slot) == expected_in
-            # Wildcard (any-label) rows are the deduplicated unions.
-            assert view.row_set(True, None, slot) == {
-                view.slot_of[t] for t in graph.successors(node_id)
-            }
-            assert view.row_set(False, None, slot) == {
-                view.slot_of[s] for s in graph.predecessors(node_id)
-            }
-
+class TestPlanCaching:
     def test_view_cached_and_invalidated_by_version(self):
         graph = diamond_graph()
         view = get_view(graph)
@@ -82,37 +47,13 @@ class TestGraphView:
         graph.add_node("e", "user")
         assert peek_view(graph) is None  # stale view is never handed out
         fresh = get_view(graph)
-        assert fresh is not view
-        assert "e" in fresh.slot_of
-
-
-class TestPlanCaching:
-    def test_plan_reused_until_mutation(self):
-        graph = diamond_graph()
-        pattern = Pattern({"u": "user", "i": "item"}, [("u", "buys", "i")])
-        plan = compile_plan(graph, pattern)
-        assert compile_plan(graph, pattern) is plan
-        assert get_view(graph).plan_compiles == 1
-        graph.set_attribute("a", "score", 2)  # version bump
-        assert compile_plan(graph, pattern) is not plan
-
-    def test_plan_keyed_by_index_attachment(self):
-        graph = diamond_graph()
-        pattern = Pattern({"u": "user", "i": "item"}, [("u", "buys", "i")])
-        unindexed = compile_plan(graph, pattern)
-        attach_index(graph)
-        try:
-            indexed = compile_plan(graph, pattern)
-            assert indexed is not unindexed
-            assert indexed.indexed and not unindexed.indexed
-            # Same view either way: attaching an index mutates nothing.
-            assert indexed.view is unindexed.view
-        finally:
-            detach_index(graph)
+        assert fresh is not view and fresh.version == graph.version
+        release_view(graph)
+        assert peek_view(graph) is None
 
     def test_compile_sigma_caches_pools_per_version_and_index(self):
         """One pool map per distinct pattern, in first-appearance order,
-        cached per (graph version, index attachment) — and no view."""
+        cached in the graph's view per (graph version, index attachment)."""
         graph = diamond_graph()
         edge = Pattern({"u": "user", "i": "item"}, [("u", "buys", "i")])
         loop = Pattern({"x": "shop"}, [("x", "sells", "x")])
@@ -124,7 +65,7 @@ class TestPlanCaching:
         again = compile_sigma(graph, [loop, edge])
         assert list(again) == [loop, edge]
         assert again[edge] is pools[edge] and again[loop] is pools[loop]
-        assert peek_view(graph) is None
+        assert peek_view(graph).pools[(edge, False)] is pools[edge]
         attach_index(graph)
         try:
             indexed = compile_sigma(graph, [edge])[edge]
@@ -136,6 +77,35 @@ class TestPlanCaching:
         graph.set_attribute("a", "score", 2)  # version bump
         fresh = compile_sigma(graph, [edge])[edge]
         assert fresh is not pools[edge] and fresh == pools[edge]
+
+    def test_consumers_share_one_pool_entry(self):
+        """Enumeration, counting, shard planning and validation on one
+        graph version all read the pools cached in the graph's view."""
+        from repro.parallel.partition import plan_pivot
+        from repro.reasoning.validation import find_violations
+
+        graph = validation_workload(80, rng=3)
+        sigma = bounded_rule_set()
+        pattern = sigma[0].pattern
+        list(find_homomorphisms(pattern, graph))
+        pools = peek_view(graph).pools[(pattern, False)]
+        count_matches(pattern, graph)
+        plan_pivot(pattern, graph)
+        find_violations(graph, sigma)
+        assert peek_view(graph).pools[(pattern, False)] is pools
+        assert compile_sigma(graph, [pattern])[pattern] is pools
+
+    def test_adjacency_rows_match_graph_adjacency(self):
+        """The executor's one row provider: labeled rows are the graph's
+        own per-label sets, wildcard rows the any-label unions."""
+        graph = diamond_graph()
+        row_set = plan_module._adjacency_rows(graph)
+        for node_id in graph.node_ids:
+            for label in graph.edge_labels | {"absent"}:
+                assert row_set(True, label, node_id) == graph.successors(node_id, label)
+                assert row_set(False, label, node_id) == graph.predecessors(node_id, label)
+            assert row_set(True, None, node_id) == graph.successors(node_id)
+            assert row_set(False, None, node_id) == graph.predecessors(node_id)
 
     def test_self_loop_and_wildcard_steps(self):
         graph = diamond_graph()
@@ -153,10 +123,19 @@ class TestPlanCaching:
     def test_explain_mentions_steps_and_pools(self):
         graph = diamond_graph()
         pattern = Pattern({"u": "user", "i": "item"}, [("u", "buys", "i")])
-        text = compile_plan(graph, pattern).explain()
+        text = explain_pools(pattern, graph, compile_sigma(graph, [pattern])[pattern])
         assert "step 1: scan" in text
         assert "step 2: extend" in text
         assert "pool" in text and "est." in text
+
+    def test_explain_without_an_observed_run(self):
+        graph = diamond_graph()
+        pattern = Pattern({"u": "user", "i": "item"}, [("u", "buys", "i")])
+        pools = compile_sigma(graph, [pattern])[pattern]
+        assert "obs." not in explain_pools(pattern, graph, pools)
+        text = explain_pools(pattern, graph, pools, observed={})
+        assert text.count("[obs. not executed]") == 2
+        assert "(no observed execution" in text
 
 
 #: Patterns over :func:`diamond_graph` that reach each branch of the
@@ -190,62 +169,58 @@ class TestPlanCounting:
             try:
                 expected = len(list(seed_find_homomorphisms(pattern, graph)))
                 assert count_matches(pattern, graph) == expected
-                assert compile_plan(graph, pattern).count() == expected
             finally:
                 detach_index(graph)
 
     def test_count_observes_the_frames_enumeration_expands(self):
         """Counting runs the executor's own frame function, so its
-        observed totals are exactly a full enumeration's."""
+        execution counters are exactly a full enumeration's."""
         graph = validation_workload(80, rng=3)
+        names = ("plan.frames_expanded", "plan.candidates_produced", "plan.intersections")
         for ged in bounded_rule_set():
-            plan = compile_plan(graph, ged.pattern)
-            plan.observed.clear()
-            with metrics.collecting():
-                counted = plan.count()
-            observed_by_count = {v: list(e) for v, e in plan.observed.items()}
-            plan.observed.clear()
-            with metrics.collecting():
-                matched = len(list(plan.matches()))
+            with metrics.collecting() as registry:
+                counted = count_matches(ged.pattern, graph)
+            by_count = [registry.counter_value(name) for name in names]
+            with metrics.collecting() as registry:
+                matched = len(list(find_homomorphisms(ged.pattern, graph)))
             assert counted == matched
-            assert observed_by_count == plan.observed
-            plan.observed.clear()
+            assert by_count == [registry.counter_value(name) for name in names]
+            assert by_count[0] > 0
 
 
-class TestPlanShipping:
-    def test_snapshot_ships_installable_plans(self):
+class TestSnapshotWorkers:
+    def test_restored_snapshot_matches_identically(self):
         graph = validation_workload(80, rng=3)
-        sigma = bounded_rule_set()
-        patterns = [ged.pattern for ged in sigma]
-        snapshot = snapshot_graph(graph, patterns=patterns)
-        assert len(snapshot.plan_pools) == len(patterns)
-        restored = snapshot.restore()
-        view = get_view(restored)
-        assert view.plan_installs == len(patterns)
-        assert view.plan_compiles == 0
-        for pattern in patterns:
-            assert list(find_homomorphisms(pattern, restored)) == list(
-                find_homomorphisms(pattern, graph)
+        restored = snapshot_graph(graph).restore()
+        for ged in bounded_rule_set():
+            assert list(find_homomorphisms(ged.pattern, restored)) == list(
+                find_homomorphisms(ged.pattern, graph)
             )
-        # The shipped plans were used, not recompiled.
-        assert view.plan_compiles == 0
 
-    def test_worker_entrypoint_reuses_plans_across_batches(self):
-        """Drive the engine worker entry points in-process: the second
-        batch must hit the warm plan cache, not recompile."""
+    def test_worker_derives_each_pattern_pools_once_across_batches(self, monkeypatch):
+        """Drive the engine worker entry points in-process: the first
+        batch derives each pattern's candidate pools once, the second
+        finds them cached on the worker's graph."""
         graph = validation_workload(80, rng=3)
         sigma = bounded_rule_set()
         units = plan_tasks(graph, sigma, 2)
-        snapshot = snapshot_graph(graph, patterns=[ged.ged.pattern for ged in units])
+        snapshot = snapshot_graph(graph)
+        derived = []
+        real = plan_module.candidate_sets
+
+        def counting(pattern, graph, **kwargs):
+            derived.append(pattern)
+            return real(pattern, graph, **kwargs)
+
+        monkeypatch.setattr(plan_module, "candidate_sets", counting)
         saved = engine_pool._WORKER_GRAPH
         try:
             engine_pool._initialize_worker(snapshot.payload())
-            worker_graph = engine_pool._worker_graph()
             first = engine_pool._validate_batch(tuple(units))
-            view = get_view(worker_graph)
-            compiles_after_first = view.plan_compiles + view.plan_installs
+            patterns = {unit.ged.pattern for unit in units}
+            assert len(derived) == len(patterns) and set(derived) == patterns
             second = engine_pool._validate_batch(tuple(units))
-            assert view.plan_compiles + view.plan_installs == compiles_after_first
+            assert len(derived) == len(patterns)
             assert [v for v, _ in first] == [v for v, _ in second]
         finally:
             engine_pool._WORKER_GRAPH = saved
@@ -296,26 +271,42 @@ class TestDegreeAccessors:
         assert "e" in users and "e" in everyone and len(everyone) == 5
 
 
+def _explain(tmp_path, graph, *flags):
+    """Run ``cli explain`` on ``graph`` × ``bounded_rule_set()``."""
+    import json
+
+    from repro.cli import main
+    from repro.deps.io import ged_to_dict
+    from repro.graph.io import graph_to_json
+
+    graph_path = tmp_path / "g.json"
+    rules_path = tmp_path / "r.json"
+    graph_path.write_text(graph_to_json(graph))
+    rules_path.write_text(json.dumps([ged_to_dict(ged) for ged in bounded_rule_set()]))
+    return main(["explain", "--graph", str(graph_path), "--rules", str(rules_path), *flags])
+
+
 class TestCliExplain:
     def test_explain_subcommand(self, tmp_path, capsys):
-        import json
-
-        from repro.cli import main
-        from repro.deps.io import ged_to_dict
-        from repro.graph.io import graph_to_json
-
-        graph = validation_workload(40, rng=2)
-        graph_path = tmp_path / "g.json"
-        rules_path = tmp_path / "r.json"
-        graph_path.write_text(graph_to_json(graph))
-        rules_path.write_text(
-            json.dumps([ged_to_dict(ged) for ged in bounded_rule_set()])
-        )
-        code = main(
-            ["explain", "--graph", str(graph_path), "--rules", str(rules_path), "--index"]
-        )
+        code = _explain(tmp_path, validation_workload(40, rng=2), "--index")
         out = capsys.readouterr().out
         assert code == 0
         assert "match plan for Q[" in out
         assert "attr-filter" in out
         assert "indexed pools" in out
+
+    def test_explain_renders_the_program_validation_runs(self, tmp_path, capsys):
+        """With an index, validation runs each rule X-restricted: the
+        rendered order, pools and observed frames are those of the
+        restricted run, not of an unrestricted plan."""
+        code = _explain(tmp_path, validation_workload(400, rng=13), "--index", "--observed")
+        out = capsys.readouterr().out
+        assert code == 0
+        sections = {block.split("\n", 1)[0]: block for block in out.split("\n\n")}
+        top = sections["== same-region-for-top-items =="].splitlines()
+        assert top[2].startswith("  step 1: scan i [label item] — pool 10 candidate(s)")
+        assert "[obs. 1 frame(s), ~10.0/frame" in top[2]
+        assert top[3].startswith("  step 2: extend u [label user] — pool 50 candidate(s)")
+        assert "[obs. 10 frame(s)" in top[3]
+        low = sections["== low-score-items-have-region =="].splitlines()
+        assert low[2].startswith("  step 1: scan i [label item] — pool 38 candidate(s)")

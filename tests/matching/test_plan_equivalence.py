@@ -9,8 +9,9 @@ prefixes under ``limit``.  These tests compare the two elementwise
 * hypothesis-random small graphs and patterns,
 * the random-graph validation workload and the social workload,
 * with and without a :mod:`repro.indexing` index attached, and
-* under ``fixed`` / ``restrict`` / ``limit`` / caller-supplied
-  candidate pools.
+* under ``fixed`` / ``restrict`` / ``limit``, and with caller-supplied
+  candidate pools (``execute_over_pools`` against the seed given the
+  same pools).
 """
 
 import pytest
@@ -21,7 +22,7 @@ from repro.graph import random_labeled_graph
 from repro.indexing import attach_index, detach_index
 from repro.matching import count_matches, find_homomorphisms, seed_find_homomorphisms
 from repro.matching.candidates import candidate_sets
-from repro.matching.view import peek_view
+from repro.matching.plan import execute_over_pools
 from repro.patterns import WILDCARD, Pattern
 from repro.reasoning.validation import (
     Violation,
@@ -106,7 +107,7 @@ class TestHypothesisByteIdentity:
     @settings(max_examples=80, deadline=None)
     @given(graph_pattern_params())
     def test_caller_pool_identity(self, source, case):
-        """Pool mode (caller candidates) matches the seed given the
+        """The executor over caller pools matches the seed given the
         same pools — including the streaming delta kernel's
         configuration: the graph's live label rows (the wildcard row a
         dict-keys view), one variable pinned by ``fixed``."""
@@ -119,7 +120,7 @@ class TestHypothesisByteIdentity:
                 for variable, label in pattern.labels.items()
             }
         kwargs = dict(fixed=fixed, restrict=restrict, limit=limit)
-        fast = list(find_homomorphisms(pattern, graph, candidates=pools, **kwargs))
+        fast = list(execute_over_pools(pattern, graph, pools, **kwargs))
         copies = {variable: set(pool) for variable, pool in pools.items()}
         slow = list(seed_find_homomorphisms(pattern, graph, candidates=copies, **kwargs))
         assert fast == slow
@@ -229,8 +230,7 @@ class TestWorkloadByteIdentity:
         variants that the grouped full scan enumerates once per group;
         with an index, the shapes set's two X-literal rules split off
         into their own group.  Limited scans and single rules (the
-        per-rule loop) give the seed loop's prefix and per-rule slice,
-        and no scan builds a graph view."""
+        per-rule loop) give the seed loop's prefix and per-rule slice."""
         graph, sigma = inputs()
 
         def seed_violations_per_rule():
@@ -263,6 +263,5 @@ class TestWorkloadByteIdentity:
                     assert find_violations(graph, sigma, limit=k) == seed[:k]
                 for ged, found in zip(sigma, per_rule):
                     assert find_violations(graph, [ged]) == found
-                assert peek_view(graph) is None
             finally:
                 detach_index(graph)

@@ -7,7 +7,7 @@ from repro.deps import FALSE, ConstantLiteral, GED, IdLiteral, VariableLiteral
 from repro.errors import DependencyError
 from repro.graph import GraphBuilder
 from repro.indexing import attach_index, detach_index
-from repro.matching import compile_plan
+from repro.matching import find_homomorphisms
 from repro.patterns import Pattern
 from repro.reasoning import (
     find_violations,
@@ -194,7 +194,7 @@ class TestSigmaScan:
             buckets, counts, _ = sigma_scan(graph, sigma)
             for position, ged in enumerate(sigma):
                 restrict = x_literal_restrictions(graph, ged)
-                stream = list(compile_plan(graph, ged.pattern).matches(restrict=restrict))
+                stream = list(find_homomorphisms(ged.pattern, graph, restrict=restrict))
                 assert counts[position] == len(stream)
                 assert buckets[position] == find_violations(graph, [ged])
             assert any(counts) and any(buckets)

@@ -146,10 +146,11 @@ def test_crash_and_resume_loses_and_duplicates_nothing(tmp_path, kwargs):
     assert canonical(asyncio.run(phase_c())) == canonical(expected)
 
 
-def test_start_and_resume_build_no_graph_view(tmp_path):
-    """The ledger bootstrap validates in pool mode: neither a start nor
-    a recovery from the log (replay, then bootstrap) builds the O(|G|)
-    graph view, which a one-shot scan would never reuse."""
+def test_start_and_resume_keep_no_candidate_pools(tmp_path):
+    """The ledger bootstrap is the one full scan a ledger runs, so it
+    releases the candidate pools it derived: neither a start nor a
+    recovery from the log (replay, then bootstrap) leaves a pool cache
+    behind for a graph version the ledger has moved past."""
     stream = stream_fixture()
     graph = stream.base.copy()
     ledger = ViolationLedger(graph, stream.sigma)

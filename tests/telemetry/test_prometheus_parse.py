@@ -180,5 +180,5 @@ class TestCliStatsExposition:
             if payload["type"] == "histogram":
                 check_histogram(name, payload)
         # the profiled validation always produces these
-        assert "repro_plan_compiles" in families
+        assert "repro_plan_frames_expanded" in families
         assert any(payload["type"] == "histogram" for payload in families.values())

@@ -140,3 +140,28 @@ class TestValidationHook:
             self._dirty_graph(), [paper.phi2()], workers=2, backend="fragment"
         )
         assert slowlog.drain_slow_plans() == []
+
+    def test_record_describes_its_own_shard(self):
+        """Each record renders the program its shard executed — the
+        pivot's shard-restricted pool scanned first — with that run's
+        own frame totals, not totals summed across shards or runs."""
+        from repro.parallel.partition import plan_shards
+        from repro.parallel.validate import run_shard
+        from repro.workloads import bounded_rule_set, validation_workload
+
+        graph = validation_workload(400, rng=13)
+        (ged,) = [r for r in bounded_rule_set() if r.name == "same-region-for-top-items"]
+        plan = plan_shards(ged.pattern, graph, 2)
+        assert plan.pivot == "i" and plan.num_shards == 2
+        metrics.enable()
+        slowlog.set_slow_plan_threshold(0.0)
+        for index in (0, 1, 0):
+            run_shard(graph, ged, plan.pivot, plan.shards[index], index)
+        first, second, again = [r["explain"].splitlines() for r in slowlog.drain_slow_plans()]
+        for lines, shard in ((first, plan.shards[0]), (second, plan.shards[1])):
+            scan, extend = lines[1], lines[2]
+            assert scan.startswith(f"  step 1: scan i [label item] — pool {len(shard)} ")
+            assert "[obs. 1 frame(s)" in scan
+            assert extend.startswith("  step 2: extend u [label user]")
+            assert f"[obs. {len(shard)} frame(s)" in extend  # one per pivot image
+        assert again == first
