@@ -14,6 +14,13 @@ clocks, and the CI perf gate (``benchmarks/perf_gate.py``) runs the
 same kernel against the thresholds committed in
 ``benchmarks/baseline.json`` and writes ``BENCH_streaming.json``.
 
+Each batch record also carries ``kernel_runs``: how many times the
+ledger's delta kernel ran the plan executor, counted by wrapping
+``repro.streaming.delta.execute_over_pools`` (the name the kernel calls
+it by, and the one ``perfbench/traced_serve.py`` wraps).  The count is
+deterministic for a given stream, so it shows a change in the kernel's
+work beside the noisy wall times; no gate reads it.
+
 Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_streaming.py -q
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -30,6 +38,7 @@ for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
+import repro.streaming.delta as delta_kernel  # noqa: E402
 from repro.indexing import attach_index  # noqa: E402
 from repro.indexing.maintenance import apply_update_indexed  # noqa: E402
 from repro.reasoning import find_violations  # noqa: E402
@@ -48,6 +57,24 @@ DEFAULT_CONFIG = {
     "rng": 13,
     "indexed": True,
 }
+
+
+@contextmanager
+def counting_kernel_runs():
+    """Count the delta kernel's executor runs while the block runs; the
+    yielded one-item list holds the running total."""
+    runs = [0]
+    run = delta_kernel.execute_over_pools
+
+    def counted(*args, **kwargs):
+        runs[0] += 1
+        return run(*args, **kwargs)
+
+    delta_kernel.execute_over_pools = counted
+    try:
+        yield runs
+    finally:
+        delta_kernel.execute_over_pools = run
 
 
 def run_streaming_bench(
@@ -88,9 +115,10 @@ def run_streaming_bench(
     ledger_total = 0.0
     full_total = 0.0
     for batch_index, update in enumerate(stream.updates, start=1):
-        started = time.perf_counter()
-        delta = ledger.refresh(update)
-        ledger_seconds = time.perf_counter() - started
+        with counting_kernel_runs() as runs:
+            started = time.perf_counter()
+            delta = ledger.refresh(update)
+            ledger_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
         apply_update_indexed(full_graph, update)
@@ -112,6 +140,7 @@ def run_streaming_bench(
                 "retired": len(delta.retired),
                 "updated": len(delta.updated),
                 "rechecked": delta.rechecked,
+                "kernel_runs": runs[0],
                 "ledger_wall_s": ledger_seconds,
                 "full_wall_s": full_seconds,
                 "violations": len(full_report),

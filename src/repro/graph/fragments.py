@@ -278,8 +278,9 @@ def partition_graph(graph: Graph, k: int, mode: str = "hash") -> Fragmentation:
 
 
 def _record_partition_quality(sink, fragmentation: "Fragmentation") -> None:
-    """Gauge the partition-quality signals ROADMAP item 5 triggers on:
-    border-replica share, cut edges, and interior balance."""
+    """Gauge the partition-quality signals: border-replica share, cut
+    edges, and interior balance (what a repartitioning trigger would
+    read)."""
     nodes = len(fragmentation.owner)
     replicas = fragmentation.replicated_nodes()
     sink.gauge("fragment.border_replica_share", replicas / nodes if nodes else 0.0)

@@ -62,7 +62,8 @@ class CandidatePruner:
     def admissible(self, pattern: Pattern, variable: str, node_id: str) -> bool:
         """Single-node probe: could ``variable -> node_id`` survive the
         filter chain?  Used by the streaming delta kernel to drop a
-        pinned pivot before any ball computation or matcher call."""
+        touched node from a variable's pin set before the executor
+        runs."""
         out_reqs, in_reqs = pattern_requirements(pattern, variable)
         return self._admissible(node_id, out_reqs, in_reqs)
 

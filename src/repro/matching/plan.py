@@ -27,10 +27,11 @@ that work into three reusable layers:
 straight on the graph's own adjacency sets (:func:`_adjacency_rows`):
 nothing of O(|G|) is built per call or per graph version.  Pools are
 read, never copied, so a caller may pass live graph sets — the
-streaming delta kernel pins one variable over
-:meth:`~repro.graph.graph.Graph.label_row` sets on a graph that
-mutates every batch.  Every other consumer passes :func:`compile_sigma`'s
-cached pools.
+streaming delta kernel runs once per (Σ group, pattern variable) with
+that variable's pool replaced by a pin set of touched nodes and every
+other variable over :meth:`~repro.graph.graph.Graph.label_row` sets, on
+a graph that mutates every batch.  Every other consumer passes
+:func:`compile_sigma`'s cached pools.
 
 **Byte-identity.**  The executor yields exactly the seed matcher's
 stream: the pools are the seed's own candidate sets, the variable order
@@ -413,11 +414,11 @@ def _pool_program(
     ``pattern.variables`` order.
 
     The order is a pure function of the sizes, so a caller that runs
-    the same pattern over pools of the same sizes many times (the
-    streaming delta kernel: one call per pinned node; the shard kernel:
-    one call per shard) ranks the variables once instead of once per
-    call.  Label-pool sizes drift as a streamed graph grows, so entries
-    mostly serve one batch; the small bound lets the stale ones age out.
+    the same pattern over pools of the same sizes many times (the shard
+    kernel: one call per shard) ranks the variables once instead of
+    once per call.  The streaming delta kernel's pin sets and label
+    rows change size from batch to batch, so its entries mostly serve
+    one run; the small bound lets the stale ones age out.
     """
     order = tuple(order_for_sizes(pattern, dict(zip(pattern.variables, sizes))))
     steps = _steps_for(pattern, order)
@@ -471,9 +472,11 @@ def execute_over_pools(
     ``restrict`` / ``fixed`` narrow are replaced, and only the pools
     the executor scans (steps with no edge check) are sorted.  A pool
     may therefore be a live graph set — the streaming delta kernel
-    passes :meth:`~repro.graph.graph.Graph.label_row` sets and pins
-    one variable per call, so its per-batch work stays proportional
-    to the update's neighborhood.
+    passes :meth:`~repro.graph.graph.Graph.label_row` sets, with one
+    variable's pool replaced by the batch's touched nodes, once per
+    (Σ group, variable); the small pin set opens its component, so
+    the per-batch work stays proportional to the update's
+    neighborhood.
 
     ``observed``, when given, receives this run's per-variable
     ``[frames, candidates, row probes]`` totals if telemetry is enabled

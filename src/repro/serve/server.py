@@ -586,7 +586,8 @@ class ViolationServer:
                     and self._log_writer.checkpoint_every
                     and delta.seq % self._log_writer.checkpoint_every == 0
                 ):
-                    self._log_writer.checkpoint(self.graph)
+                    with _spans.span("serve.checkpoint", seq=delta.seq):
+                        self._log_writer.checkpoint(self.graph)
                 self._batches_applied += 1
                 self._count("serve.updates")
                 push_ctx = _trace.propagation_context()

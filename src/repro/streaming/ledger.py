@@ -11,11 +11,13 @@ keyed by ``(dependency position in Σ, embedding)`` and, per
   now?).  Entries whose embeddings avoid every touched element evaluated
   identically before the batch and are never looked at.
 * **introduced** — the :mod:`~repro.streaming.delta` kernel enumerates
-  every post-update violation whose match meets the touched set
-  (pivot-pinned matching along the pattern's edges); keys not yet in
-  the ledger are the introduced ones.  A key the kernel re-finds that the ledger already
-  holds was itself re-checked by the retirement pass (its embedding
-  meets the touched set), so the two passes agree.
+  every post-update violation whose match meets the touched set (one
+  executor run per Σ group and pattern variable, over that variable's
+  pin set of touched nodes, extended along the pattern's edges); keys
+  not yet in the ledger are the introduced ones.  A key the kernel
+  re-finds that the ledger already holds was itself re-checked by the
+  retirement pass (its embedding meets the touched set), so the two
+  passes agree.
 
 The result is an invariant the property tests assert byte-for-byte:
 after any stream of batches, :meth:`violations` equals a from-scratch
@@ -217,7 +219,8 @@ class ViolationLedger:
             )
         from repro.indexing.maintenance import apply_update_indexed
 
-        apply_update_indexed(self.graph, update)  # validates the whole batch first
+        with _spans.span("stream.apply"):
+            apply_update_indexed(self.graph, update)  # validates the whole batch first
         self.seq += 1
         delta = StreamDelta(seq=self.seq, touched=len(touched))
 
@@ -246,8 +249,10 @@ class ViolationLedger:
             else:
                 found = delta_violations(self.graph, self.sigma, touched)
         # Canonical (dep position, embedding) order: the serial kernel
-        # yields pin-enumeration order and the engine merge is sorted —
-        # sorting here makes the emitted delta backend-independent.
+        # yields its runs' enumeration order (group, then pinned
+        # variable, then executor order) and the engine merge is
+        # sorted — sorting here makes the emitted delta
+        # backend-independent.
         for dep_index, violation in sorted(found, key=lambda f: (f[0], f[1].match)):
             key = (dep_index, violation.match)
             if key not in self._entries:

@@ -3,7 +3,8 @@
 :func:`derived_stats` computes the headline ratios the raw counters
 imply — escalated-pivot share, warm-pool hit rate, border-replica
 share, per-fragment frames expanded — the numbers ``cli stats`` leads
-with and ROADMAP item 5 (adaptive repartitioning) will trigger on.
+with, and the partition-quality signals an adaptive repartitioning
+would read.
 :func:`format_text` renders the derived block plus the full snapshot as
 an aligned text dump.  :func:`format_trace` renders one assembled trace
 (see :func:`repro.telemetry.trace.assemble_traces`) as an indented tree

@@ -7,6 +7,10 @@ delivery), and two engine pool workers (``stream.shard``) — all linked
 by the ``TraceContext`` that rode the task payloads and came home on
 the ``collect=True`` snapshot channel.
 
+A serial-backend batch with a checkpoint shows the batch's own layers
+as children of ``serve.batch``, the graph apply and the checkpoint
+write included.
+
 Plus the incremental-flush fix: the exported NDJSON must hold the
 batch's spans *before* the server exits, so a SIGKILLed server leaves
 usable traces.
@@ -205,6 +209,45 @@ class TestAssembledTraceAcrossProcesses:
         forests = assemble_traces(trace_records(trace_path))
         (root,) = forests["cafe0123deadbeef"]
         assert root.name == "serve.batch"
+
+
+class TestBatchSpanTree:
+    def test_apply_and_checkpoint_spans_under_the_batch(self, fixture_files, tmp_path):
+        # Serial backend, a checkpoint after every batch: the graph
+        # apply (inside the ledger refresh) and the checkpoint write
+        # each get their own span under ``serve.batch``.
+        graph_path, rules_path, log_path = fixture_files
+        trace_path = tmp_path / "trace.ndjson"
+        proc, listening = start_serve(
+            [
+                "--log", str(log_path), "--rules", str(rules_path),
+                "--graph", str(graph_path),
+                "--backend", "serial",
+                "--checkpoint-every", "1",
+                "--telemetry", f"ndjson:{trace_path}",
+                "--max-batches", "1",
+            ]
+        )
+        try:
+            ack = subscribe_and_publish(listening["port"], two_node_update())
+            assert ack["type"] == "ack" and ack["seq"] == 1
+        finally:
+            try:
+                proc.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                raise
+
+        (root,) = assemble_traces(trace_records(trace_path))[ack["trace_id"]]
+        assert root.name == "serve.batch"
+        assert {child.name for child in root.children} >= {
+            "serve.validate",
+            "serve.log_append",
+            "stream.apply",
+            "stream.retire_check",
+            "stream.introduce",
+            "serve.checkpoint",
+        }
 
 
 class TestIncrementalFlush:

@@ -1,13 +1,16 @@
 """Pattern shapes the streaming delta kernel must get right.
 
-The kernel binds every non-pinned variable of the pin's component
-through an edge check, so it passes the graph's live label rows as
-pools instead of a pattern-radius ball.  :func:`shape_rule_set` covers
-the shapes where that could go wrong: a wildcard node label behind a
-wildcard edge, a wildcard variable in a second component, a self-loop,
-a radius-2 path, and a family of rules on that path that differ only in
-their literals (two share an X literal, so an index gives them their
-own restriction group).
+The kernel runs once per (Σ group, pattern variable), with that
+variable's pool replaced by its pin set of touched nodes.  It binds
+every other variable of the pin set's component through an edge check,
+so it passes the graph's live label rows as pools instead of a
+pattern-radius ball, and one match may come out of several variables'
+runs.  :func:`shape_rule_set` covers the shapes where that could go
+wrong: a wildcard node label behind a wildcard edge, a wildcard
+variable in a second component, a self-loop, a radius-2 path, and a
+family of rules on that path that differ only in their literals (two
+share an X literal, so an index gives them their own restriction
+group).
 
 The rules run over :func:`~repro.workloads.churn_stream`'s
 user/item/shop graph.  Churn batches never add self-loops, so

@@ -1,9 +1,12 @@
-"""The delta kernel and the ledger on small hand-built updates: a
-violation an update introduces is found through the touched nodes,
-and one it fixes is retired."""
+"""The delta kernel and the ledger: on small hand-built updates, a
+violation an update introduces is found through the touched nodes and
+one it fixes is retired; on churn batches, the kernel reports exactly
+the full scan's violations that meet the batch, in at most one
+executor run per (Σ group, pattern variable)."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,10 +14,15 @@ from repro import paper
 from repro.deps import ConstantLiteral, GED, VariableLiteral
 from repro.graph import GraphBuilder, random_labeled_graph
 from repro.graph.update import GraphUpdate
+from repro.indexing import attach_index, get_index
 from repro.indexing.maintenance import apply_update_indexed
+from repro.indexing.pruning import CandidatePruner
 from repro.patterns import Pattern
+from repro.patterns.labels import WILDCARD
 from repro.reasoning import find_violations
+from repro.reasoning.validation import sigma_groups
 from repro.streaming import ViolationLedger, delta_violations
+from tests.streaming.shapes import STREAMS, shape_churn_stream
 
 
 def capital_rule():
@@ -158,3 +166,93 @@ class TestLedgerLifecycle:
             assert fixed.introduced == []
             assert set(fixed.retired) == set(broken.introduced)
             assert ledger.clean
+
+
+class TestPerBatchOracle:
+    @STREAMS
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000), st.booleans())
+    def test_kernel_equals_full_scan_on_the_touched_set(self, make_stream, seed, indexed):
+        """Over multi-op churn batches (adds, deletions, attribute
+        writes), the kernel reports exactly the post-batch violations
+        whose match meets a live touched node, each (position, match)
+        once."""
+        stream = make_stream(
+            n_nodes=random.Random(seed).randint(20, 60),
+            batches=6,
+            batch_size=8,
+            rng=seed,
+        )
+        graph = stream.base.copy()
+        if indexed:
+            attach_index(graph)
+        position = {id(ged): index for index, ged in enumerate(stream.sigma)}
+        for update in stream.updates:
+            apply_update_indexed(graph, update)
+            live = {node for node in update.touched_nodes() if graph.has_node(node)}
+            reported = delta_violations(graph, stream.sigma, update.touched_nodes())
+            keys = [(index, violation.match) for index, violation in reported]
+            assert len(keys) == len(set(keys))
+            expected = {
+                (position[id(v.ged)], v.match, v.failed)
+                for v in find_violations(graph, stream.sigma)
+                if any(node in live for _, node in v.match)
+            }
+            assert {(index, v.match, v.failed) for index, v in reported} == expected
+
+
+class TestKernelWorkBound:
+    """The kernel runs the executor once per (Σ group, variable) with a
+    non-empty pin set, whatever the number of touched nodes.  Counted
+    through ``repro.streaming.delta.execute_over_pools``, the name the
+    kernel calls and the traced serve benchmark wraps."""
+
+    @staticmethod
+    def record_runs(monkeypatch):
+        import repro.streaming.delta as delta
+
+        runs = []
+        run = delta.execute_over_pools
+
+        def recording(pattern, graph, candidates, *args, **kwargs):
+            runs.append((pattern, dict(candidates)))
+            return run(pattern, graph, candidates, *args, **kwargs)
+
+        monkeypatch.setattr(delta, "execute_over_pools", recording)
+        return runs
+
+    @staticmethod
+    def shapes_graph(indexed):
+        stream = shape_churn_stream(n_nodes=200, batches=0, rng=5)
+        graph = stream.base.copy()
+        if indexed:
+            attach_index(graph)
+        return graph, stream.sigma, set(sorted(graph.node_ids)[::5])
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["plain", "indexed"])
+    def test_at_most_one_run_per_group_variable(self, monkeypatch, indexed):
+        graph, sigma, touched = self.shapes_graph(indexed)
+        assert len(touched) >= 20
+        runs = self.record_runs(monkeypatch)
+        assert delta_violations(graph, sigma, touched)
+        bound = sum(len(pattern.variables) for pattern, _, _ in sigma_groups(graph, sigma))
+        assert 0 < len(runs) <= bound
+
+    def test_index_rejected_nodes_leave_the_pin_pool(self, monkeypatch):
+        graph, sigma, touched = self.shapes_graph(indexed=True)
+        pruner = CandidatePruner(graph, get_index(graph))
+        runs = self.record_runs(monkeypatch)
+        delta_violations(graph, sigma, touched)
+        rejected = 0
+        for pattern, candidates in runs:
+            # The pin pool is the one pool drawn from the touched set;
+            # every other variable keeps its label row (narrowed by an
+            # X-restriction) over the whole graph.
+            (variable,) = [v for v, pool in candidates.items() if set(pool) <= touched]
+            label = pattern.label_of(variable)
+            row = graph.label_row(None if label == WILDCARD else label)
+            for node_id in touched & set(row):
+                if not pruner.admissible(pattern, variable, node_id):
+                    rejected += 1
+                    assert node_id not in candidates[variable]
+        assert rejected

@@ -116,6 +116,20 @@ class TestDiff:
         assert "workers: 4 -> 8" in text
 
 
+    def test_records_sharing_an_identity_pair_in_order(self):
+        # The streaming bench's per-batch records are all numbers, so
+        # they share one (empty) identity; each batch still gets its row.
+        old = bench_payload(
+            "streaming", [{"batch": n, "kernel_runs": 5} for n in (1, 2, 3)]
+        )
+        new = json.loads(json.dumps(old))
+        new["records"][1]["kernel_runs"] = 8
+        text = "\n".join(bench_history.diff_payloads(old, new))
+        assert "batch: 1 -> 1" in text and "batch: 3 -> 3" in text
+        assert "kernel_runs: 5 -> 8 (+60.0%)" in text
+        assert "only in" not in text
+
+
 class TestCommands:
     def test_check_clean_files(self, tmp_path, capsys):
         path = tmp_path / "BENCH_engine.json"

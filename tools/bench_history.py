@@ -6,8 +6,9 @@ Every bench and the CI perf gate emit results through
 "records"}``).  This tool keeps that schema honest across history:
 
 * ``diff OLD NEW`` — match the two payloads' records (identity = the
-  record's non-numeric fields), print a per-metric delta table for the
-  numeric fields, and flag records that appear on only one side.
+  record's non-numeric fields; records sharing one pair up in order),
+  print a per-metric delta table for the numeric fields, and flag
+  records that appear on only one side.
   Exit 0; comparison is informational — thresholds live in the perf
   gate, not here.
 * ``check [--baseline PATH] FILE...`` — validate each payload against
@@ -140,6 +141,25 @@ def record_metrics(record: dict) -> dict[str, float]:
     }
 
 
+def records_by_identity(records: list[dict]) -> dict[tuple, dict]:
+    """Records keyed by :func:`record_identity`.
+
+    Records that share an identity — a bench whose records carry only
+    numbers, such as the streaming bench's per-batch records — pair up
+    by order of appearance: from the second on, the n-th one's key
+    gains ``("#", n)``.
+    """
+    keyed: dict[tuple, dict] = {}
+    counts: dict[tuple, int] = {}
+    for record in records:
+        identity = record_identity(record)
+        counts[identity] = counts.get(identity, 0) + 1
+        if counts[identity] > 1:
+            identity += (("#", counts[identity]),)
+        keyed[identity] = record
+    return keyed
+
+
 def _identity_label(identity: tuple) -> str:
     return " ".join(f"{key}={value}" for key, value in identity) or "<unlabelled>"
 
@@ -151,8 +171,8 @@ def diff_payloads(old: dict, new: dict) -> list[str]:
         lines.append(
             f"bench name changed: {old.get('bench')!r} -> {new.get('bench')!r}"
         )
-    old_by_id = {record_identity(r): r for r in old.get("records", [])}
-    new_by_id = {record_identity(r): r for r in new.get("records", [])}
+    old_by_id = records_by_identity(old.get("records", []))
+    new_by_id = records_by_identity(new.get("records", []))
     for identity in sorted(old_by_id.keys() | new_by_id.keys()):
         label = _identity_label(identity)
         if identity not in new_by_id:
