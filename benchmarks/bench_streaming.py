@@ -21,6 +21,12 @@ it by, and the one ``perfbench/traced_serve.py`` wraps).  The count is
 deterministic for a given stream, so it shows a change in the kernel's
 work beside the noisy wall times; no gate reads it.
 
+The payload's ``meta`` also carries ``checkpoint_wall_s`` and
+``checkpoint_bytes``: the time and size of one update-log checkpoint
+(:meth:`repro.graph.io.UpdateLogWriter.checkpoint`) of the stream's
+final graph, so ``tools/bench_history.py diff`` follows the checkpoint
+encoder across changes.  Informational too: no gate reads them.
+
 Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_streaming.py -q
@@ -29,6 +35,7 @@ Run with::
 from __future__ import annotations
 
 import sys
+import tempfile
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -39,6 +46,7 @@ for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
         sys.path.insert(0, entry)
 
 import repro.streaming.delta as delta_kernel  # noqa: E402
+from repro.graph.io import UpdateLogWriter  # noqa: E402
 from repro.indexing import attach_index  # noqa: E402
 from repro.indexing.maintenance import apply_update_indexed  # noqa: E402
 from repro.reasoning import find_violations  # noqa: E402
@@ -57,6 +65,17 @@ DEFAULT_CONFIG = {
     "rng": 13,
     "indexed": True,
 }
+
+
+def measure_checkpoint(graph) -> tuple[float, int]:
+    """Wall seconds and bytes of one log checkpoint of ``graph``."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "checkpoint.jsonl"
+        with UpdateLogWriter(path) as writer:
+            started = time.perf_counter()
+            writer.checkpoint(graph)
+            seconds = time.perf_counter() - started
+        return seconds, path.stat().st_size
 
 
 @contextmanager
@@ -153,6 +172,7 @@ def run_streaming_bench(
         for v in canonical_report(stream.sigma, find_violations(full_graph, stream.sigma))
     ]
     assert ledger_bytes == full_bytes, "ledger diverged from full revalidation"
+    checkpoint_seconds, checkpoint_bytes = measure_checkpoint(ledger_graph)
 
     return {
         "config": {
@@ -169,6 +189,8 @@ def run_streaming_bench(
         "full_wall_s": full_total,
         "speedup_per_batch": (full_total / ledger_total) if ledger_total else float("inf"),
         "final_violations": len(ledger_bytes),
+        "checkpoint_wall_s": checkpoint_seconds,
+        "checkpoint_bytes": checkpoint_bytes,
     }
 
 
@@ -212,6 +234,8 @@ def _emit(result: dict) -> None:
             "full_wall_s": result["full_wall_s"],
             "speedup_per_batch": result["speedup_per_batch"],
             "final_violations": result["final_violations"],
+            "checkpoint_wall_s": result["checkpoint_wall_s"],
+            "checkpoint_bytes": result["checkpoint_bytes"],
         },
     )
 

@@ -368,6 +368,8 @@ def main(argv: list[str] | None = None) -> int:
             "full_wall_s": streaming["full_wall_s"],
             "speedup_per_batch": streaming["speedup_per_batch"],
             "final_violations": streaming["final_violations"],
+            "checkpoint_wall_s": streaming["checkpoint_wall_s"],
+            "checkpoint_bytes": streaming["checkpoint_bytes"],
             "thresholds": streaming_thresholds,
         },
         directory=args.output_dir,

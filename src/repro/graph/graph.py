@@ -19,7 +19,10 @@ without scanning the whole graph.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence, Set as AbstractSet
+from itertools import chain, count, repeat
+from operator import attrgetter, itemgetter
 
 from repro.errors import GraphError
 
@@ -33,6 +36,39 @@ Edge = tuple[str, str, str]
 #: Shared empty adjacency row (returned by the read-only row accessors
 #: for absent labels; frozen so accidental mutation fails loudly).
 _EMPTY_ROW: frozenset = frozenset()
+
+_LABEL = attrgetter("label")
+_ATTRS = attrgetter("_attrs")
+_FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
+
+#: Key type of an unhashable value in :meth:`Graph.to_columns`'s pool:
+#: ``(_UNHASHABLE, i)`` stands for the i-th attribute value.
+_UNHASHABLE = object()
+
+#: Value types whose values key the pool by themselves when the graph
+#: holds at most one of the number types: across these types, only
+#: numbers of different types compare equal (``1 == 1.0 == True``).
+_PLAIN_TYPES = frozenset({str, int, float, bool, type(None)})
+_NUMBER_TYPES = frozenset({int, float, bool})
+
+
+def _typed(column: Iterable) -> Iterator[tuple]:
+    """``(type, value)`` pool keys of ``column``."""
+    return zip(map(type, column), column)
+
+
+def _pool_keys(values: list) -> tuple[list, list[int]]:
+    """``(type, value)`` keys of ``values``, and the positions of the
+    unhashable ones, each keyed ``(_UNHASHABLE, position)`` instead."""
+    keys = list(_typed(values))
+    unhashable = []
+    for position, key in enumerate(keys):
+        try:
+            hash(key)
+        except TypeError:
+            keys[position] = (_UNHASHABLE, position)
+            unhashable.append(position)
+    return keys, unhashable
 
 
 def _lookup(table: Sequence, column: Sequence[int], name: str, what: str | None = None) -> list:
@@ -108,7 +144,9 @@ class Graph:
 
     def __init__(self) -> None:
         self._nodes: dict[str, Node] = {}
-        self._edges: set[Edge] = set()
+        # Edge table: a dict used as an insertion-ordered set, like the
+        # node table, so encodings list edges without sorting them.
+        self._edges: dict[Edge, None] = {}
         # Adjacency indexes:  src -> label -> {dst}  and  dst -> label -> {src}
         self._out: dict[str, dict[str, set[str]]] = {}
         self._in: dict[str, dict[str, set[str]]] = {}
@@ -158,7 +196,7 @@ class Graph:
             raise GraphError(f"edge label must be a non-empty string, got {label!r}")
         edge = (source, label, target)
         if edge not in self._edges:
-            self._edges.add(edge)
+            self._edges[edge] = None
             self._out[source].setdefault(label, set()).add(target)
             self._in[target].setdefault(label, set()).add(source)
             self._version += 1
@@ -184,7 +222,7 @@ class Graph:
     ) -> "Graph":
         """Build a graph in bulk from interned columns.
 
-        The layout is that of :func:`repro.graph.io.graph_to_arrays`: ``pool``
+        The layout is that of :meth:`to_columns`: ``pool``
         holds the values; ``node_ids``, ``node_labels``, ``attr_name``,
         ``attr_value`` and ``edge_label`` hold slots into it;
         ``attr_node``, ``edge_src`` and ``edge_dst`` hold positions in
@@ -259,9 +297,70 @@ class Graph:
                 row[label] = {source}
             else:
                 members.add(source)
-        graph._edges = set(rows)
+        graph._edges = dict.fromkeys(rows)
         graph._version = n + len(attr_node) + len(graph._edges)
         return graph
+
+    def to_columns(self) -> tuple[list, array, array, array, array, array, array, array, array]:
+        """Encode the graph as interned columns, in the argument order of
+        :meth:`from_columns`, which rebuilds it with the same node,
+        attribute and edge order.
+
+        ``pool`` holds each distinct value once, keyed by ``(type,
+        value)`` so that ``1``, ``1.0`` and ``True`` keep their types (by
+        the value alone when no two of the graph's values of different
+        types can be equal); an unhashable value takes one slot per
+        occurrence.  It lists node
+        labels, attribute names and edge labels first, then attribute
+        values, then the node ids not already in it, each section in
+        first-seen order.  The other columns are ``array('I')``:
+        ``attr_node``, ``edge_src`` and ``edge_dst`` hold positions in
+        ``node_ids``, the rest hold slots in ``pool``.  Nodes, attributes
+        and edges are listed in table (insertion) order, so the encoding
+        depends on the mutations that built the graph, never on string
+        hashing.  Every column is one C-level pass over the tables.
+        """
+        ids = list(self._nodes)
+        nodes = list(self._nodes.values())
+        labels = list(map(_LABEL, nodes))
+        tables = list(map(_ATTRS, nodes))
+        names = list(chain.from_iterable(tables))
+        values = list(chain.from_iterable(map(dict.values, tables)))
+        edges = self._edges
+        edge_labels = list(map(_SECOND, edges))
+
+        types = set(map(type, values))
+        plain = types <= _PLAIN_TYPES and len(types & _NUMBER_TYPES) <= 1
+        key = iter if plain else _typed  # plain: the values are their own keys
+        strings = dict.fromkeys(chain(labels, names, edge_labels))
+        keys = dict.fromkeys(key(strings))
+        value_keys = values if plain else list(_typed(values))
+        unhashable: list[int] = []
+        try:
+            keys.update(dict.fromkeys(value_keys))
+        except TypeError:
+            value_keys, unhashable = _pool_keys(values)
+            keys.update(dict.fromkeys(value_keys))
+        keys.update(dict.fromkeys(key(ids)))
+        slots = dict(zip(keys, count()))
+        pool = list(slots) if plain else list(map(_SECOND, slots))
+        for position in unhashable:
+            pool[slots[(_UNHASHABLE, position)]] = values[position]
+
+        slot = slots.__getitem__
+        named = dict(zip(strings, map(slot, key(strings)))).__getitem__
+        position = dict(zip(ids, count())).__getitem__
+        return (
+            pool,
+            array("I", map(slot, key(ids))),
+            array("I", map(named, labels)),
+            array("I", chain.from_iterable(map(repeat, range(len(ids)), map(len, tables)))),
+            array("I", map(named, names)),
+            array("I", map(slot, value_keys)),
+            array("I", map(position, map(_FIRST, edges))),
+            array("I", map(named, edge_labels)),
+            array("I", map(position, map(_THIRD, edges))),
+        )
 
     # ------------------------------------------------------------------
     # Deletion
@@ -271,7 +370,7 @@ class Graph:
         edge = (source, label, target)
         if edge not in self._edges:
             raise GraphError(f"cannot remove missing edge {edge!r}")
-        self._edges.discard(edge)
+        del self._edges[edge]
         targets = self._out[source][label]
         targets.discard(target)
         if not targets:
@@ -297,7 +396,7 @@ class Graph:
         node = self.node(node_id)
         incident = set(self.out_edges(node_id)) | set(self.in_edges(node_id))
         for source, label, target in incident:
-            self._edges.discard((source, label, target))
+            self._edges.pop((source, label, target), None)
             targets = self._out[source].get(label)
             if targets is not None:
                 targets.discard(target)

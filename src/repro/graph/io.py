@@ -11,14 +11,18 @@ shipped over APIs, or embedded in experiment manifests:
       "edges": [["a1", "primary_artist", "p1"]]
     }
 
-The flat-array format (:func:`graph_to_arrays` / :func:`graph_from_arrays`)
-is the wire representation behind :mod:`repro.engine.snapshot`: every
-string is interned once in a pool and the node/edge structure becomes a
-handful of ``array('I')`` integer columns, which pickle an order of
-magnitude cheaper than the object graph (no per-Node class payload, no
-per-edge tuple objects).  It is lossless — rebuilding yields a graph that
-is ``==`` to the original — but, unlike the JSON format, it is a Python
-pickle-time optimization, not an interchange format.
+The flat-array format (:func:`graph_to_arrays` / :func:`graph_from_arrays`,
+over :meth:`Graph.to_columns` / :meth:`Graph.from_columns`, which own
+the layout) is the wire representation behind :mod:`repro.engine.snapshot`
+and the log's checkpoints: every distinct value is interned once in a
+pool and the node/edge structure becomes a handful of ``array('I')``
+integer columns, which pickle an order of magnitude cheaper than the
+object graph (no per-Node class payload, no per-edge tuple objects).
+Nodes, attributes and edges keep the graph's insertion order, so it is
+lossless down to table order — rebuilding yields a graph that is ``==``
+to the original and encodes to the same columns — but, unlike the JSON
+format, it is a Python pickle-time optimization, not an interchange
+format.
 
 The **update log** (:class:`UpdateLogWriter` / :func:`read_update_log` /
 :func:`replay_update_log`) makes streams of
@@ -27,14 +31,17 @@ one JSONL line per batch, each stamped with a monotone sequence number,
 interleaved with periodic *checkpoint* lines carrying the full graph in
 the flat-array encoding (arrays spelled as JSON lists).  Replaying from
 the latest checkpoint rather than the beginning is what makes recovery
-O(tail), not O(history).  The exact line formats are specified in
-``docs/update-log.md``; attribute values must be JSON-representable
-(the same restriction the plain JSON graph format has).
+O(tail), not O(history).  A final line cut short by a crash is skipped
+by the readers and truncated by the next writer.  The exact line
+formats are specified in ``docs/update-log.md``; attribute values must
+be JSON-representable (the same restriction the plain JSON graph format
+has).
 """
 
 from __future__ import annotations
 
 import json
+import os
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,6 +50,7 @@ from typing import Any, Iterator
 from repro.errors import GraphError
 from repro.graph.graph import Graph
 from repro.graph.update import GraphUpdate
+from repro.telemetry import metrics as _metrics
 
 
 def graph_to_dict(g: Graph) -> dict[str, Any]:
@@ -96,78 +104,18 @@ _ARRAY_COLUMNS = (
 )
 
 
-class _Pool:
-    """Interning pool: assigns each distinct value one integer slot.
-
-    Values are deduplicated by ``(type, value)`` so ``1``, ``1.0`` and
-    ``True`` — equal under ``==`` — keep their exact identity through a
-    roundtrip.  Unhashable values (graphs may carry them; the index
-    layer treats them as unindexable) are appended without dedup.
-    """
-
-    def __init__(self) -> None:
-        self.values: list[Any] = []
-        self._slots: dict[Any, int] = {}
-
-    def intern(self, value: Any) -> int:
-        try:
-            key = (type(value), value)
-            slot = self._slots.get(key)
-            if slot is None:
-                slot = len(self.values)
-                self._slots[key] = slot
-                self.values.append(value)
-            return slot
-        except TypeError:  # unhashable value: store without dedup
-            self.values.append(value)
-            return len(self.values) - 1
-
-
 def graph_to_arrays(g: Graph) -> dict[str, Any]:
-    """Encode ``g`` as interned pools plus flat integer columns.
+    """Encode ``g`` as an interned pool plus flat integer columns.
 
-    Layout (all columns index into ``pool``):
-
-    * ``node_ids`` / ``node_labels`` — one entry per node, in the
-      graph's deterministic insertion order;
-    * ``attr_node`` / ``attr_name`` / ``attr_value`` — one entry per
-      attribute; ``attr_node`` indexes into ``node_ids``;
-    * ``edge_src`` / ``edge_label`` / ``edge_dst`` — one entry per edge,
-      sorted; ``edge_src``/``edge_dst`` index into ``node_ids``.
+    The columns of :meth:`Graph.to_columns <repro.graph.graph.Graph.to_columns>`,
+    by name: ``pool`` (each distinct value once), ``node_ids`` /
+    ``node_labels`` (one entry per node, in insertion order),
+    ``attr_node`` / ``attr_name`` / ``attr_value`` (one entry per
+    attribute; ``attr_node`` indexes into ``node_ids``) and ``edge_src``
+    / ``edge_label`` / ``edge_dst`` (one entry per edge, in insertion
+    order; ``edge_src`` / ``edge_dst`` index into ``node_ids``).
     """
-    pool = _Pool()
-    node_ids = array("I")
-    node_labels = array("I")
-    node_slot: dict[str, int] = {}
-    attr_node = array("I")
-    attr_name = array("I")
-    attr_value = array("I")
-    for position, node in enumerate(g.nodes):
-        node_slot[node.id] = position
-        node_ids.append(pool.intern(node.id))
-        node_labels.append(pool.intern(node.label))
-        for name, value in node.attributes.items():
-            attr_node.append(position)
-            attr_name.append(pool.intern(name))
-            attr_value.append(pool.intern(value))
-    edge_src = array("I")
-    edge_label = array("I")
-    edge_dst = array("I")
-    for source, label, target in sorted(g.edges):
-        edge_src.append(node_slot[source])
-        edge_label.append(pool.intern(label))
-        edge_dst.append(node_slot[target])
-    return {
-        "pool": pool.values,
-        "node_ids": node_ids,
-        "node_labels": node_labels,
-        "attr_node": attr_node,
-        "attr_name": attr_name,
-        "attr_value": attr_value,
-        "edge_src": edge_src,
-        "edge_label": edge_label,
-        "edge_dst": edge_dst,
-    }
+    return dict(zip(("pool", *_ARRAY_COLUMNS), g.to_columns()))
 
 
 def graph_from_arrays(data: dict[str, Any]) -> Graph:
@@ -235,11 +183,22 @@ def update_from_dict(data: dict[str, Any]) -> GraphUpdate:
 
 def _checkpoint_arrays(g: Graph) -> dict[str, Any]:
     """Flat-array encoding with integer columns spelled as JSON lists."""
-    arrays = graph_to_arrays(g)
-    payload: dict[str, Any] = {"pool": arrays["pool"]}
-    for column in _ARRAY_COLUMNS:
-        payload[column] = list(arrays[column])
-    return payload
+    pool, *columns = g.to_columns()
+    return dict(zip(("pool", *_ARRAY_COLUMNS), [pool, *map(array.tolist, columns)]))
+
+
+def _last_line_start(handle: Any, size: int) -> int:
+    """Offset of the last line of a binary file of ``size`` bytes,
+    found by reading backwards from its end."""
+    end = size
+    while end > 0:
+        start = max(0, end - (1 << 16))
+        handle.seek(start)
+        cut = handle.read(end - start).rfind(b"\n")
+        if cut >= 0:
+            return start + cut + 1
+        end = start
+    return 0
 
 
 def _is_seq(value: Any) -> bool:
@@ -273,6 +232,12 @@ class UpdateLogWriter:
     monotone-seq contract survives restarts.  A caller that has just
     replayed the log passes the replay's ``last_seq`` as ``seq``
     instead, so the file is not read a second time.
+
+    Before either, the writer mends an existing log's final line when
+    it lacks its newline (a write cut short by a crash): a line that
+    parses gets its newline, so the next record starts on a line of its
+    own; a line that does not is **torn** — the readers stop before it
+    — and is truncated away, counted in ``log.torn_tails_truncated``.
     """
 
     def __init__(
@@ -286,8 +251,37 @@ class UpdateLogWriter:
             raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         self.path = Path(path)
         self.checkpoint_every = checkpoint_every
+        self._mend_tail(self.path)
         self.seq = self._resume_seq(self.path) if seq is None else seq
         self._file = open(self.path, "a", encoding="utf-8")
+
+    @staticmethod
+    def _mend_tail(path: Path) -> None:
+        """End an existing log with a newline: complete a final line
+        that parses, truncate one that does not (see the class
+        docstring).  Reads one byte when the log already ends in one."""
+        try:
+            handle = open(path, "rb+")
+        except FileNotFoundError:
+            return
+        with handle:
+            size = handle.seek(0, os.SEEK_END)
+            if size == 0:
+                return
+            handle.seek(size - 1)
+            if handle.read(1) == b"\n":
+                return
+            start = _last_line_start(handle, size)
+            handle.seek(start)
+            line = handle.read()
+            try:
+                if line.strip():  # a blank line is skipped, not torn
+                    json.loads(line)
+            except ValueError:
+                handle.truncate(start)
+                _metrics.sink().incr("log.torn_tails_truncated")
+            else:
+                handle.write(b"\n")
 
     @staticmethod
     def _resume_seq(path: Path) -> int:
@@ -381,15 +375,21 @@ def scan_update_log(path: str | Path) -> Iterator[dict[str, Any]]:
     in particular checkpoint graphs stay as their array dictionaries,
     so callers that skip or postpone checkpoints (replay, the ``stream``
     CLI) never pay O(|G|) decodes for records they discard.
+
+    A final line that lacks its newline and does not parse is a torn
+    write, not a record: the scan stops before it.  Any other line that
+    does not parse raises.
     """
     with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.strip()
             if not line:
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
+                if not raw.endswith("\n"):
+                    return
                 raise GraphError(f"{path}:{line_no}: not valid JSON ({exc})") from None
             if not isinstance(record, dict) or "type" not in record or "seq" not in record:
                 raise GraphError(f"{path}:{line_no}: malformed update-log record")

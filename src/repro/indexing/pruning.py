@@ -26,6 +26,8 @@ command and ``benchmarks/bench_indexing.py`` do.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from repro.graph.graph import Graph
 from repro.patterns.labels import WILDCARD
 from repro.patterns.pattern import Pattern
@@ -51,21 +53,20 @@ class CandidatePruner:
                 pool = self.graph.node_ids
             else:
                 pool = self.graph.nodes_with_label(label)
-            out_reqs, in_reqs = pattern_requirements(pattern, variable)
-            result[variable] = {
-                node_id
-                for node_id in pool
-                if self._admissible(node_id, out_reqs, in_reqs)
-            }
+            result[variable] = self.admit(pattern, variable, pool)
         return result
 
-    def admissible(self, pattern: Pattern, variable: str, node_id: str) -> bool:
-        """Single-node probe: could ``variable -> node_id`` survive the
-        filter chain?  Used by the streaming delta kernel to drop a
-        touched node from a variable's pin set before the executor
-        runs."""
+    def admit(self, pattern: Pattern, variable: str, node_ids: Iterable[str]) -> set[str]:
+        """The ``node_ids`` that could survive the filter chain as images
+        of ``variable``, with the variable's requirements derived once
+        for the whole set.  The streaming delta kernel calls it once per
+        (Σ group, variable) to drop touched nodes from the variable's
+        pin set before the executor runs."""
         out_reqs, in_reqs = pattern_requirements(pattern, variable)
-        return self._admissible(node_id, out_reqs, in_reqs)
+        admissible = self._admissible
+        return {
+            node_id for node_id in node_ids if admissible(node_id, out_reqs, in_reqs)
+        }
 
     def _admissible(
         self,

@@ -390,7 +390,8 @@ class ViolationServer:
             await self._server.wait_closed()
         if self._log_writer is not None:
             if checkpoint and self._batches_applied:
-                self._log_writer.checkpoint(self.graph)
+                with _spans.span("serve.checkpoint", seq=self.seq, shutdown=True):
+                    self._log_writer.checkpoint(self.graph)
             self._log_writer.close()
             self._log_writer = None
         self.ledger.close()

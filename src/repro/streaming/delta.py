@@ -29,7 +29,7 @@ set's neighborhood, not |G|:
 * with a synced :mod:`repro.indexing` index attached, a touched node
   leaves a variable's pin set before any search when its 1-hop
   neighborhood signature cannot admit the variable's pattern edges
-  (:meth:`~repro.indexing.pruning.CandidatePruner.admissible`), and the
+  (:meth:`~repro.indexing.pruning.CandidatePruner.admit`), and the
   X-literal restriction pools of
   :func:`~repro.reasoning.validation.x_literal_restrictions` narrow the
   label rows further.
@@ -109,12 +109,8 @@ def delta_violations(
         seen: set[tuple[tuple[str, str], ...]] = set()
         for variable in pattern.variables:
             pins = live & pools[variable]
-            if pruner is not None:
-                pins = {
-                    node_id
-                    for node_id in pins
-                    if pruner.admissible(pattern, variable, node_id)
-                }
+            if pruner is not None and pins:
+                pins = pruner.admit(pattern, variable, pins)
             if not pins:
                 continue
             reused += len(rules) - 1

@@ -1,9 +1,17 @@
 """Snapshot roundtrips: lossless, compact, index-aware."""
 
+import json
+import os
+import pathlib
 import pickle
 import random
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import snapshot_graph, snapshot_size
 from repro.graph.graph import Graph
@@ -211,6 +219,135 @@ class TestBulkDecode:
         assert graph.out_row("a", "r") == {"b"}
         assert graph.version == reference.version == 2 + 0 + 2
         assert_same_tables(graph, reference, reference)
+
+
+#: Strings shared between node ids, labels, attribute names, edge labels
+#: and string values, so the pool's sections overlap.
+WORDS = ["a", "b", "L", "M", "x", "r"]
+#: Values that compare equal across types, unhashable ones, and strings
+#: that are also ids, labels or names; the encoder keys the pool by
+#: ``(type, value)`` for these.
+VALUES = [1, 1.0, True, 0, False, 0.0, None, "a", "L", "x", ["a", 1], [1.0, [True]]]
+#: Values of which no two of different types are equal; the encoder
+#: keys the pool by the values themselves for these.
+PLAIN_VALUES = [1, 2, None, "a", "L", "x"]
+OPS = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.sampled_from(WORDS),
+        st.sampled_from(WORDS),
+        st.sampled_from(WORDS),
+        st.integers(0, len(VALUES) - 1),
+    ),
+    max_size=80,
+)
+
+
+def build(ops, values=VALUES) -> Graph:
+    """A graph after a churn of ops: node adds and re-adds of deleted
+    ids, node/edge/attribute deletions and attribute overwrites; an op
+    the graph would refuse is skipped."""
+    g = Graph()
+    for kind, first, second, third, value in ops:
+        if kind == 0 and not g.has_node(first):
+            g.add_node(first, second, {third: values[value % len(values)]})
+        elif kind == 1 and g.has_node(first) and g.has_node(third):
+            g.add_edge(first, second, third)
+        elif kind == 2 and g.has_node(first):
+            g.set_attribute(first, second, values[value % len(values)])
+        elif kind == 3 and g.has_node(first):
+            g.remove_node(first)
+        elif kind == 4 and g.has_edge(first, second, third):
+            g.remove_edge(first, second, third)
+        elif kind == 5 and g.has_node(first) and g.node(first).has_attribute(second):
+            g.remove_attribute(first, second)
+    return g
+
+
+def checkpoint_bytes(graph: Graph) -> bytes:
+    """The bytes of a real checkpoint line of ``graph``."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = pathlib.Path(directory) / "checkpoint.jsonl"
+        with UpdateLogWriter(path) as writer:
+            writer.checkpoint(graph)
+        return path.read_bytes()
+
+
+class TestEncoderProperties:
+    """The encoder lists nodes, attributes and edges in table order, so
+    a decoded checkpoint keeps every order of its source and encodes
+    back to the same bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(OPS, st.sampled_from([VALUES, PLAIN_VALUES]))
+    def test_decode_keeps_tables_and_orders(self, ops, values):
+        source = build(ops, values)
+        for data in (graph_to_arrays(source), json.loads(checkpoint_bytes(source))["arrays"]):
+            decoded = graph_from_arrays(data)
+            assert_same_tables(decoded, source, decode_per_element(data))
+            assert list(decoded._edges) == list(source._edges)
+            assert checkpoint_bytes(decoded) == checkpoint_bytes(source)
+
+    @settings(max_examples=100, deadline=None)
+    @given(OPS, st.sampled_from([VALUES, PLAIN_VALUES]))
+    def test_pool_holds_each_typed_value_once(self, ops, values):
+        source = build(ops, values)
+        pool = graph_to_arrays(source)["pool"]
+        hashable = [(type(v), v) for v in pool if not isinstance(v, list)]
+        assert len(hashable) == len(set(hashable))
+        unhashable = [v for node in source.nodes for v in node.attributes.values()
+                      if isinstance(v, list)]
+        assert len(pool) - len(hashable) == len(unhashable)
+        strings = {node.label for node in source.nodes} | {
+            name for node in source.nodes for name in node.attributes
+        } | source.edge_labels
+        assert set(pool[: len(strings)]) == strings
+
+    def test_checkpoint_bytes_ignore_hash_seed(self):
+        """Two interpreters with different string hashing write the
+        same checkpoint of the same build."""
+        script = (
+            "import sys\n"
+            "from tests.engine.test_snapshot import checkpoint_bytes, churned\n"
+            "from repro.workloads import validation_workload\n"
+            "graph = churned(validation_workload(200, rng=5), ['score', 'region'], 9)\n"
+            "sys.stdout.buffer.write(checkpoint_bytes(graph))\n"
+        )
+        root = pathlib.Path(__file__).resolve().parents[2]
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+            outputs.append(
+                subprocess.run(
+                    [sys.executable, "-c", script],
+                    cwd=root, env=env, capture_output=True, check=True, timeout=120,
+                ).stdout
+            )
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["type"] == "checkpoint"
+
+    def test_old_layout_still_decodes(self):
+        """A checkpoint of the first-seen pool and sorted edges, as
+        written before edges kept their insertion order."""
+        old = {
+            "attr_name": [2, 4, 2, 9, 12], "attr_node": [0, 0, 1, 1, 2],
+            "attr_value": [3, 5, 8, 10, 0], "edge_dst": [1, 0, 1, 1],
+            "edge_label": [13, 14, 13, 15], "edge_src": [2, 2, 0, 0],
+            "node_ids": [0, 6, 11], "node_labels": [1, 7, 1],
+            "pool": ["u2", "user", "score", 1, "vip", True, "i1", "item", 1.0, "tags",
+                     ["new", 2], "u1", "region", "buys", "knows", "rates"],
+        }
+        expected = Graph()
+        expected.add_node("u2", "user", score=1, vip=True)
+        expected.add_node("i1", "item", score=1.0, tags=["new", 2])
+        expected.add_node("u1", "user", region="u2")
+        for edge in sorted([("u2", "rates", "i1"), ("u1", "buys", "i1"),
+                            ("u2", "buys", "i1"), ("u1", "knows", "u2")]):
+            expected.add_edge(*edge)
+        decoded = graph_from_arrays(old)
+        assert_same_tables(decoded, expected, decode_per_element(old))
+        assert list(decoded._edges) == list(expected._edges)
 
 
 class TestSnapshot:

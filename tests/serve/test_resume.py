@@ -219,3 +219,59 @@ def test_ephemeral_server_has_no_durability(tmp_path):
 
     asyncio.run(scenario())
     assert list(tmp_path.iterdir()) == []
+
+
+class TestTornFinalRecord:
+    """A SIGKILL mid-write leaves the log's last record cut short (the
+    crash model of Pillai et al., "All File Systems Are Not Created
+    Equal", OSDI 2014).  ``from_log`` resumes from the intact prefix,
+    and the next append leaves a log that replays cleanly."""
+
+    @staticmethod
+    def checkpointed_log(tmp_path, last):
+        """A log whose last record is a checkpoint (seq 4) or the update
+        batch after it (seq 5); returns its path and its lines."""
+        stream = stream_fixture()
+        live = stream.base.copy()
+        log = tmp_path / "updates.jsonl"
+        with UpdateLogWriter(log, checkpoint_every=2) as writer:
+            writer.write_base(live)
+            for update in stream.updates[: 4 if last == "checkpoint" else 5]:
+                apply_update_plain(live, update)
+                writer.append(update, live)
+        lines = log.read_bytes().splitlines(keepends=True)
+        assert json.loads(lines[-1])["type"] == last
+        return stream, log, lines
+
+    @pytest.mark.parametrize("last", ["checkpoint", "update"])
+    @pytest.mark.parametrize("kept", [1, 0.5, -2, -1], ids=["1B", "half", "no-brace", "no-newline"])
+    def test_resume_from_the_intact_prefix(self, tmp_path, last, kept):
+        from repro.graph.io import replay_update_log
+
+        stream, log, lines = self.checkpointed_log(tmp_path, last)
+        final = lines[-1]
+        cut = int(len(final) * kept) if isinstance(kept, float) else kept % len(final)
+        log.write_bytes(b"".join(lines[:-1]) + final[:cut])
+        complete = kept == -1  # only the "\n" is missing: the record parses
+        reference = tmp_path / "reference.jsonl"
+        reference.write_bytes(b"".join(lines if complete else lines[:-1]))
+        expected = replay_update_log(reference)
+
+        server = ViolationServer.from_log(log, stream.sigma)
+        try:
+            assert server.seq == expected.last_seq == (5 if last == "update" and complete else 4)
+            assert server.graph == expected.graph
+            assert server.graph.node_ids == expected.graph.node_ids
+            assert list(server.graph._edges) == list(expected.graph._edges)
+            next_update = stream.updates[server.seq]
+            server._apply(next_update)
+        finally:
+            asyncio.run(server.stop(checkpoint=False))
+
+        replayed = replay_update_log(log)
+        assert replayed.last_seq == expected.last_seq + 1
+        apply_update_plain(expected.graph, next_update)
+        assert replayed.graph == expected.graph == server.graph
+        text = log.read_text()
+        assert text.endswith("\n")
+        assert [json.loads(line)["seq"] for line in text.splitlines()][-1] == replayed.last_seq

@@ -9,7 +9,7 @@ the ``collect=True`` snapshot channel.
 
 A serial-backend batch with a checkpoint shows the batch's own layers
 as children of ``serve.batch``, the graph apply and the checkpoint
-write included.
+write included; the shutdown checkpoint has a span outside the batch.
 
 Plus the incremental-flush fix: the exported NDJSON must hold the
 batch's spans *before* the server exits, so a SIGKILLed server leaves
@@ -248,6 +248,39 @@ class TestBatchSpanTree:
             "stream.introduce",
             "serve.checkpoint",
         }
+
+    def test_shutdown_checkpoint_has_its_own_span(self, fixture_files, tmp_path):
+        # Serial backend, no periodic checkpoint: the one checkpoint is
+        # the shutdown one after --max-batches, outside the batch tree.
+        graph_path, rules_path, log_path = fixture_files
+        trace_path = tmp_path / "trace.ndjson"
+        proc, listening = start_serve(
+            [
+                "--log", str(log_path), "--rules", str(rules_path),
+                "--graph", str(graph_path),
+                "--backend", "serial",
+                "--telemetry", f"ndjson:{trace_path}",
+                "--max-batches", "1",
+            ]
+        )
+        try:
+            ack = subscribe_and_publish(listening["port"], two_node_update())
+            assert ack["type"] == "ack" and ack["seq"] == 1
+        finally:
+            try:
+                proc.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                raise
+
+        records = trace_records(trace_path)
+        checkpoints = [r for r in records if r.get("name") == "serve.checkpoint"]
+        assert [r["attrs"] for r in checkpoints] == [{"seq": 1, "shutdown": True}]
+        (span,) = checkpoints
+        (parent,) = [r for r in records if r.get("span_id") == span["parent_id"]]
+        assert parent["name"] == "cli.serve"
+        (root,) = assemble_traces(records)[ack["trace_id"]]
+        assert "serve.checkpoint" not in {child.name for child in root.children}
 
 
 class TestIncrementalFlush:

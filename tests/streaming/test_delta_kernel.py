@@ -252,7 +252,32 @@ class TestKernelWorkBound:
             label = pattern.label_of(variable)
             row = graph.label_row(None if label == WILDCARD else label)
             for node_id in touched & set(row):
-                if not pruner.admissible(pattern, variable, node_id):
+                if not pruner.admit(pattern, variable, [node_id]):
                     rejected += 1
                     assert node_id not in candidates[variable]
         assert rejected
+
+    def test_requirements_derived_once_per_group_variable(self, monkeypatch):
+        """The pruner derives a variable's signature requirements once
+        per pin set, not once per touched node it probes."""
+        import repro.indexing.pruning as pruning
+
+        graph, sigma, touched = self.shapes_graph(indexed=True)
+        derived = []
+        derive = pruning.pattern_requirements
+
+        def counting(pattern, variable):
+            derived.append((pattern, variable))
+            return derive(pattern, variable)
+
+        monkeypatch.setattr(pruning, "pattern_requirements", counting)
+        runs = self.record_runs(monkeypatch)
+        assert delta_violations(graph, sigma, touched)
+        groups = list(sigma_groups(graph, sigma))
+        assert 0 < len(derived) <= sum(len(pattern.variables) for pattern, _, _ in groups)
+        assert len(runs) <= len(derived)
+        for pattern, _, _ in groups:
+            for variable in pattern.variables:
+                assert derived.count((pattern, variable)) <= sum(
+                    1 for other, _, _ in groups if other == pattern
+                )

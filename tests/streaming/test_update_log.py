@@ -250,6 +250,70 @@ class TestLogFormat:
         assert len(list(read_update_log(path))) == 1
 
 
+class TestTornTail:
+    """A final line that lacks its newline and does not parse is a torn
+    write: readers stop before it, and a writer truncates it (counting
+    ``log.torn_tails_truncated``) before its first append.  A final
+    record that parses but lacks its newline gets one."""
+
+    def log_lines(self, tmp_path):
+        stream = churn_stream(n_nodes=12, batches=3, rng=4)
+        live = stream.base.copy()
+        path = tmp_path / "log.jsonl"
+        with UpdateLogWriter(path, checkpoint_every=2) as writer:
+            writer.write_base(live)
+            for update in stream.updates:
+                apply_update_indexed(live, update)
+                writer.append(update, live)
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert [json.loads(line)["seq"] for line in lines] == [0, 1, 2, 2, 3]
+        return path, lines
+
+    def test_every_cut_of_the_last_record(self, tmp_path):
+        from repro.telemetry import metrics
+
+        path, lines = self.log_lines(tmp_path)
+        *prefix, final = lines
+        for cut in range(1, len(final)):
+            path.write_bytes(b"".join(prefix) + final[:cut])
+            complete = cut == len(final) - 1
+            seqs = [record["seq"] for record in scan_update_log(path)]
+            assert seqs == [0, 1, 2, 2, 3] if complete else [0, 1, 2, 2]
+            with metrics.collecting() as registry:
+                with UpdateLogWriter(path) as writer:
+                    assert writer.seq == seqs[-1]
+                    assert path.read_bytes() == b"".join(lines if complete else prefix)
+                    writer.append(GraphUpdate())
+            assert registry.counter_value("log.torn_tails_truncated") == (0 if complete else 1)
+            assert [r.seq for r in read_update_log(path)] == seqs + [seqs[-1] + 1]
+
+
+class TestDocumentedCheckpoint:
+    def test_example_is_the_writers_record(self, tmp_path):
+        """docs/update-log.md §1.2 shows what the writer writes."""
+        import pathlib
+        import re
+
+        from repro.graph import GraphBuilder
+
+        graph = (
+            GraphBuilder()
+            .node("u1", "user", {"score": 2})
+            .node("i3", "item", {"region": "eu"})
+            .node("u2", "user", {"score": 2, "fav": "i3"})
+            .edge("u2", "buys", "i3")
+            .edge("u1", "buys", "i3")
+            .build()
+        )
+        path = tmp_path / "log.jsonl"
+        with UpdateLogWriter(path, seq=4) as writer:
+            writer.checkpoint(graph)
+        doc = (pathlib.Path(__file__).parents[2] / "docs" / "update-log.md").read_text()
+        section = doc[doc.index("### 1.2"):doc.index("### 1.3")]
+        (block,) = re.findall(r"```json\n(.*?)```", section, re.S)
+        assert json.loads(block) == json.loads(path.read_text())
+
+
 class TestMalformedCheckpoint:
     """A checkpoint whose columns do not fit together raises GraphError
     instead of decoding to a different graph (docs/update-log.md §1.2)."""

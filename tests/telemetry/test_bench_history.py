@@ -130,6 +130,18 @@ class TestDiff:
         assert "only in" not in text
 
 
+    def test_numeric_meta_fields_diff_without_provenance(self):
+        old = bench_payload(
+            "streaming", [{"batch": 1}], meta={"checkpoint_bytes": 1000, "graph": "churn"}
+        )
+        new = json.loads(json.dumps(old))
+        new["meta"]["checkpoint_bytes"] = 900
+        new["meta"]["cpu_count"] = old["meta"]["cpu_count"] + 1
+        text = "\n".join(bench_history.diff_payloads(old, new))
+        assert "  meta\n    checkpoint_bytes: 1000 -> 900 (-10.0%)" in text
+        assert "cpu_count" not in text and "graph" not in text
+
+
 class TestCommands:
     def test_check_clean_files(self, tmp_path, capsys):
         path = tmp_path / "BENCH_engine.json"

@@ -8,7 +8,9 @@ Every bench and the CI perf gate emit results through
 * ``diff OLD NEW`` — match the two payloads' records (identity = the
   record's non-numeric fields; records sharing one pair up in order),
   print a per-metric delta table for the numeric fields, and flag
-  records that appear on only one side.
+  records that appear on only one side.  The numeric ``meta`` fields
+  other than provenance (e.g. the streaming bench's
+  ``checkpoint_wall_s``) get a delta table of their own.
   Exit 0; comparison is informational — thresholds live in the perf
   gate, not here.
 * ``check [--baseline PATH] FILE...`` — validate each payload against
@@ -181,19 +183,35 @@ def diff_payloads(old: dict, new: dict) -> list[str]:
         if identity not in old_by_id:
             lines.append(f"+ only in new: {label}")
             continue
-        before = record_metrics(old_by_id[identity])
-        after = record_metrics(new_by_id[identity])
         lines.append(f"  {label}")
-        for metric in sorted(before.keys() | after.keys()):
-            if metric not in after:
-                lines.append(f"    {metric}: dropped (was {before[metric]:g})")
-            elif metric not in before:
-                lines.append(f"    {metric}: added ({after[metric]:g})")
-            else:
-                a, b = before[metric], after[metric]
-                delta = b - a
-                percent = f" ({delta / a:+.1%})" if a else ""
-                lines.append(f"    {metric}: {a:g} -> {b:g}{percent}")
+        lines += metric_lines(
+            record_metrics(old_by_id[identity]), record_metrics(new_by_id[identity])
+        )
+    before, after = (
+        record_metrics(
+            {k: v for k, v in (payload.get("meta") or {}).items() if k not in META_FIELDS}
+        )
+        for payload in (old, new)
+    )
+    if before or after:
+        lines.append("  meta")
+        lines += metric_lines(before, after)
+    return lines
+
+
+def metric_lines(before: dict[str, float], after: dict[str, float]) -> list[str]:
+    """One delta line per metric of either side."""
+    lines = []
+    for metric in sorted(before.keys() | after.keys()):
+        if metric not in after:
+            lines.append(f"    {metric}: dropped (was {before[metric]:g})")
+        elif metric not in before:
+            lines.append(f"    {metric}: added ({after[metric]:g})")
+        else:
+            a, b = before[metric], after[metric]
+            delta = b - a
+            percent = f" ({delta / a:+.1%})" if a else ""
+            lines.append(f"    {metric}: {a:g} -> {b:g}{percent}")
     return lines
 
 
