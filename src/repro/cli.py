@@ -910,7 +910,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--graph",
         default=None,
-        help="base graph JSON, required when the log does not exist yet",
+        help="base graph JSON, required when the log does not exist yet or holds no record",
     )
     serve_cmd.add_argument(
         "--backend",

@@ -45,12 +45,6 @@ _FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
 #: ``(_UNHASHABLE, i)`` stands for the i-th attribute value.
 _UNHASHABLE = object()
 
-#: Value types whose values key the pool by themselves when the graph
-#: holds at most one of the number types: across these types, only
-#: numbers of different types compare equal (``1 == 1.0 == True``).
-_PLAIN_TYPES = frozenset({str, int, float, bool, type(None)})
-_NUMBER_TYPES = frozenset({int, float, bool})
-
 
 def _typed(column: Iterable) -> Iterator[tuple]:
     """``(type, value)`` pool keys of ``column``."""
@@ -307,10 +301,8 @@ class Graph:
         attribute and edge order.
 
         ``pool`` holds each distinct value once, keyed by ``(type,
-        value)`` so that ``1``, ``1.0`` and ``True`` keep their types (by
-        the value alone when no two of the graph's values of different
-        types can be equal); an unhashable value takes one slot per
-        occurrence.  It lists node
+        value)`` so that ``1``, ``1.0`` and ``True`` keep their types; an
+        unhashable value takes one slot per occurrence.  It lists node
         labels, attribute names and edge labels first, then attribute
         values, then the node ids not already in it, each section in
         first-seen order.  The other columns are ``array('I')``:
@@ -329,30 +321,27 @@ class Graph:
         edges = self._edges
         edge_labels = list(map(_SECOND, edges))
 
-        types = set(map(type, values))
-        plain = types <= _PLAIN_TYPES and len(types & _NUMBER_TYPES) <= 1
-        key = iter if plain else _typed  # plain: the values are their own keys
         strings = dict.fromkeys(chain(labels, names, edge_labels))
-        keys = dict.fromkeys(key(strings))
-        value_keys = values if plain else list(_typed(values))
+        keys = dict.fromkeys(_typed(strings))
+        value_keys = list(_typed(values))
         unhashable: list[int] = []
         try:
             keys.update(dict.fromkeys(value_keys))
         except TypeError:
             value_keys, unhashable = _pool_keys(values)
             keys.update(dict.fromkeys(value_keys))
-        keys.update(dict.fromkeys(key(ids)))
+        keys.update(dict.fromkeys(_typed(ids)))
         slots = dict(zip(keys, count()))
-        pool = list(slots) if plain else list(map(_SECOND, slots))
+        pool = list(map(_SECOND, slots))
         for position in unhashable:
             pool[slots[(_UNHASHABLE, position)]] = values[position]
 
         slot = slots.__getitem__
-        named = dict(zip(strings, map(slot, key(strings)))).__getitem__
+        named = dict(zip(strings, map(slot, _typed(strings)))).__getitem__
         position = dict(zip(ids, count())).__getitem__
         return (
             pool,
-            array("I", map(slot, key(ids))),
+            array("I", map(slot, _typed(ids))),
             array("I", map(named, labels)),
             array("I", chain.from_iterable(map(repeat, range(len(ids)), map(len, tables)))),
             array("I", map(named, names)),

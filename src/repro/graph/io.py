@@ -306,6 +306,12 @@ class UpdateLogWriter:
             raise GraphError(f"cannot resume update log {path}: bad seq {seq!r}")
         return seq
 
+    @property
+    def empty(self) -> bool:
+        """Whether the log holds nothing yet: a new file, or one whose
+        only record was torn and truncated away."""
+        return os.fstat(self._file.fileno()).st_size == 0
+
     def _write(self, record: dict[str, Any]) -> None:
         self._file.write(json.dumps(record, sort_keys=True) + "\n")
         self._file.flush()

@@ -275,11 +275,12 @@ class ViolationServer:
         self._requested_port = port
         self._log_writer: UpdateLogWriter | None = None
         if log_path is not None:
-            fresh = not Path(log_path).exists()
             self._log_writer = UpdateLogWriter(
                 log_path, checkpoint_every=checkpoint_every, seq=log_seq
             )
-            if fresh:
+            # Asked after the writer mended the tail: a log whose only
+            # record was torn is as empty as a new one.
+            if self._log_writer.empty:
                 self._log_writer.write_base(graph)
         self.ledger = ViolationLedger(
             graph, sigma, backend=backend, workers=workers, fragment_mode=fragment_mode
@@ -317,9 +318,10 @@ class ViolationServer:
 
         An existing log is replayed — latest checkpoint plus tail — and
         the server continues its ``seq`` numbering from the replay's
-        last seq, so the file is read once; a fresh log records
-        ``base_graph`` as its seq-0 base checkpoint.  Exactly one of
-        the two sources must determine the base state.
+        last seq, so the file is read once; a fresh log (or one whose
+        only record was torn) records ``base_graph`` as its seq-0 base
+        checkpoint.  Exactly one of the two sources must determine the
+        base state.
         """
         path = Path(log_path)
         if not path.exists():

@@ -275,3 +275,31 @@ class TestTornFinalRecord:
         text = log.read_text()
         assert text.endswith("\n")
         assert [json.loads(line)["seq"] for line in text.splitlines()][-1] == replayed.last_seq
+
+    @pytest.mark.parametrize("kept", [1, 0.5, -2], ids=["1B", "half", "no-brace"])
+    def test_torn_base_checkpoint_is_rewritten(self, tmp_path, kept):
+        """A crash that tears the seq-0 base checkpoint, the log's only
+        record, leaves nothing to recover from: restarting with the base
+        graph writes the base checkpoint again, so the log replays on
+        its own."""
+        from repro.graph.io import replay_update_log
+
+        stream = stream_fixture()
+        log = tmp_path / "updates.jsonl"
+        with UpdateLogWriter(log) as writer:
+            writer.write_base(stream.base)
+        (base,) = log.read_bytes().splitlines(keepends=True)
+        cut = int(len(base) * kept) if isinstance(kept, float) else kept % len(base)
+        log.write_bytes(base[:cut])
+
+        server = ViolationServer.from_log(log, stream.sigma, base_graph=stream.base.copy())
+        try:
+            assert server.seq == 0
+            assert log.read_bytes() == base
+            server._apply(stream.updates[0])
+        finally:
+            asyncio.run(server.stop(checkpoint=False))
+
+        replayed = replay_update_log(log)
+        assert (replayed.resumed_from, replayed.last_seq) == (0, 1)
+        assert replayed.graph == server.graph

@@ -278,7 +278,7 @@ class TestTornTail:
             path.write_bytes(b"".join(prefix) + final[:cut])
             complete = cut == len(final) - 1
             seqs = [record["seq"] for record in scan_update_log(path)]
-            assert seqs == [0, 1, 2, 2, 3] if complete else [0, 1, 2, 2]
+            assert seqs == ([0, 1, 2, 2, 3] if complete else [0, 1, 2, 2])
             with metrics.collecting() as registry:
                 with UpdateLogWriter(path) as writer:
                     assert writer.seq == seqs[-1]
