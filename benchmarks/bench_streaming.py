@@ -14,12 +14,24 @@ clocks, and the CI perf gate (``benchmarks/perf_gate.py``) runs the
 same kernel against the thresholds committed in
 ``benchmarks/baseline.json`` and writes ``BENCH_streaming.json``.
 
-Each batch record also carries ``kernel_runs``: how many times the
-ledger's delta kernel ran the plan executor, counted by wrapping
-``repro.streaming.delta.execute_over_pools`` (the name the kernel calls
-it by, and the one ``perfbench/traced_serve.py`` wraps).  The count is
-deterministic for a given stream, so it shows a change in the kernel's
-work beside the noisy wall times; no gate reads it.
+Each batch record also carries the ledger's work: ``kernel_runs``, how
+many times its delta kernel ran the plan executor, and
+``kernel_matches``, how many matches those runs yielded, both counted by
+wrapping ``repro.streaming.delta.execute_over_pools`` (the name the
+kernel calls it by, and the one ``perfbench/traced_serve.py`` wraps);
+and ``rechecked``, the ledger entries its retire pass re-evaluated.
+The ledger pins the kernel on each batch's **footprint** — added nodes,
+nodes where an attribute Σ reads changed, and added edges whose label
+Σ reads, each edge pinned at the pattern edges it can map to — and
+rechecks only entries that meet a deleted node, an attribute-changed
+node, or both endpoints of a deleted edge
+(:func:`repro.streaming.delta.batch_footprint`).  The counts are
+deterministic for a given stream, so they show a change in the
+kernel's work beside the noisy wall times.  No gate reads them, but
+:func:`test_footprint_kernel_enumerates_less_than_touched_pins` holds
+the footprint to its claim without a clock: per batch the ledger's
+kernel yields no more matches than the same kernel pinned on every
+touched node (:func:`touched_pin_matches`), and fewer over the stream.
 
 The payload's ``meta`` also carries ``checkpoint_wall_s`` and
 ``checkpoint_bytes``: the time and size of one update-log checkpoint
@@ -53,6 +65,7 @@ from repro.reasoning import find_violations  # noqa: E402
 from repro.streaming import (  # noqa: E402
     ViolationLedger,
     canonical_report,
+    delta_violations,
     violation_to_dict,
 )
 from repro.workloads import churn_stream  # noqa: E402
@@ -79,21 +92,58 @@ def measure_checkpoint(graph) -> tuple[float, int]:
 
 
 @contextmanager
-def counting_kernel_runs():
-    """Count the delta kernel's executor runs while the block runs; the
-    yielded one-item list holds the running total."""
-    runs = [0]
+def counting_kernel_work():
+    """Count the delta kernel's executor runs and the matches they yield
+    while the block runs; the yielded dict holds the running totals
+    (``runs``, ``matches``)."""
+    work = {"runs": 0, "matches": 0}
     run = delta_kernel.execute_over_pools
 
+    def yielded(matches):
+        for match in matches:
+            work["matches"] += 1
+            yield match
+
     def counted(*args, **kwargs):
-        runs[0] += 1
-        return run(*args, **kwargs)
+        work["runs"] += 1
+        return yielded(run(*args, **kwargs))
 
     delta_kernel.execute_over_pools = counted
     try:
-        yield runs
+        yield work
     finally:
         delta_kernel.execute_over_pools = run
+
+
+def touched_pin_matches(
+    nodes: int = 400,
+    batches: int = 12,
+    batch_size: int = 8,
+    delete_fraction: float = 0.35,
+    rng: int = 13,
+    indexed: bool = True,
+) -> list[int]:
+    """Per batch of :func:`run_streaming_bench`'s stream, the matches
+    ``delta_violations(graph, sigma, update.touched_nodes())`` yields on
+    the post-batch graph: the kernel pinned on every touched node, the
+    reference the ledger's footprint-pinned kernel must not exceed."""
+    stream = churn_stream(
+        n_nodes=nodes,
+        batches=batches,
+        batch_size=batch_size,
+        delete_fraction=delete_fraction,
+        rng=rng,
+    )
+    graph = stream.base.copy()
+    if indexed:
+        attach_index(graph)
+    counts = []
+    for update in stream.updates:
+        apply_update_indexed(graph, update)
+        with counting_kernel_work() as work:
+            delta_violations(graph, stream.sigma, update.touched_nodes())
+        counts.append(work["matches"])
+    return counts
 
 
 def run_streaming_bench(
@@ -134,7 +184,7 @@ def run_streaming_bench(
     ledger_total = 0.0
     full_total = 0.0
     for batch_index, update in enumerate(stream.updates, start=1):
-        with counting_kernel_runs() as runs:
+        with counting_kernel_work() as work:
             started = time.perf_counter()
             delta = ledger.refresh(update)
             ledger_seconds = time.perf_counter() - started
@@ -159,7 +209,8 @@ def run_streaming_bench(
                 "retired": len(delta.retired),
                 "updated": len(delta.updated),
                 "rechecked": delta.rechecked,
-                "kernel_runs": runs[0],
+                "kernel_runs": work["runs"],
+                "kernel_matches": work["matches"],
                 "ledger_wall_s": ledger_seconds,
                 "full_wall_s": full_seconds,
                 "violations": len(full_report),
@@ -206,6 +257,22 @@ def test_ledger_matches_full_revalidation_per_batch():
     result = run_streaming_bench(nodes=150, batches=8, rng=13)
     assert result["final_violations"] >= 0
     assert len(result["records"]) == 8
+
+
+def test_footprint_kernel_enumerates_less_than_touched_pins():
+    """The footprint's work claim, with no clock: on the fixed seeded
+    stream the ledger's kernel yields no more matches per batch than
+    the kernel pinned on every touched node, and fewer over the stream
+    (a kernel back on touched-node pins fails the second assertion)."""
+    config = dict(nodes=150, batches=8, rng=13)
+    records = run_streaming_bench(**config)["records"]
+    reference = touched_pin_matches(**config)
+    matches = [record["kernel_matches"] for record in records]
+    assert all(ours <= theirs for ours, theirs in zip(matches, reference)), (
+        matches,
+        reference,
+    )
+    assert sum(matches) < sum(reference), (matches, reference)
 
 
 def test_ledger_beats_full_revalidation(benchmark=None):

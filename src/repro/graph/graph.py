@@ -593,12 +593,21 @@ class Graph:
 
     def induced_subgraph(self, node_ids: Iterable[str]) -> "Graph":
         """The substructure induced on ``node_ids`` (nodes, their
-        attributes, and every edge with both endpoints retained)."""
+        attributes, and every edge with both endpoints retained).
+
+        Nodes keep this graph's table order, whatever the order (or the
+        hash seed of a set) of ``node_ids``, so the subgraph's columns
+        are a function of the graph and the id set alone.  An id that is
+        not a node raises :class:`GraphError`.
+        """
         keep = set(node_ids)
+        missing = keep.difference(self._nodes)
+        if missing:
+            self.node(min(missing))  # raises GraphError
         result = Graph()
-        for node_id in keep:
-            node = self.node(node_id)
-            result.add_node(node.id, node.label, node.attributes)
+        for node_id, node in self._nodes.items():
+            if node_id in keep:
+                result.add_node(node_id, node.label, node.attributes)
         for s, l, t in self._edges:
             if s in keep and t in keep:
                 result.add_edge(s, l, t)

@@ -60,8 +60,8 @@ class CandidatePruner:
         """The ``node_ids`` that could survive the filter chain as images
         of ``variable``, with the variable's requirements derived once
         for the whole set.  The streaming delta kernel calls it once per
-        (Σ group, variable) to drop touched nodes from the variable's
-        pin set before the executor runs."""
+        (Σ group, variable) to drop node pins from the variable's pin
+        set before the executor runs."""
         out_reqs, in_reqs = pattern_requirements(pattern, variable)
         admissible = self._admissible
         return {

@@ -28,9 +28,11 @@ straight on the graph's own adjacency sets (:func:`_adjacency_rows`):
 nothing of O(|G|) is built per call or per graph version.  Pools are
 read, never copied, so a caller may pass live graph sets — the
 streaming delta kernel runs once per (Σ group, pattern variable) with
-that variable's pool replaced by a pin set of touched nodes and every
-other variable over :meth:`~repro.graph.graph.Graph.label_row` sets, on
-a graph that mutates every batch.  Every other consumer passes
+that variable's pool replaced by a pin set of the batch's nodes, and
+once per (Σ group, pattern edge) with the edge's two end pools replaced
+by the sources and targets of the batch's added edges; every other
+variable keeps its :meth:`~repro.graph.graph.Graph.label_row` set, on a
+graph that mutates every batch.  Every other consumer passes
 :func:`compile_sigma`'s cached pools.
 
 **Byte-identity.**  The executor yields exactly the seed matcher's
@@ -473,10 +475,11 @@ def execute_over_pools(
     the executor scans (steps with no edge check) are sorted.  A pool
     may therefore be a live graph set — the streaming delta kernel
     passes :meth:`~repro.graph.graph.Graph.label_row` sets, with one
-    variable's pool replaced by the batch's touched nodes, once per
-    (Σ group, variable); the small pin set opens its component, so
-    the per-batch work stays proportional to the update's
-    neighborhood.
+    variable's pool replaced by the batch's node pins, once per
+    (Σ group, variable), or one pattern edge's end pools by its edge
+    pins, once per (Σ group, pattern edge); the small pin set opens
+    its component, so the per-batch work stays proportional to the
+    update's neighborhood.
 
     ``observed``, when given, receives this run's per-variable
     ``[frames, candidates, row probes]`` totals if telemetry is enabled

@@ -86,6 +86,17 @@ _RESYNC = "resync"
 _FRAME = "frame"
 _CLOSE = "close"
 
+#: The connection failures the server absorbs — a peer that resets,
+#: hangs up mid-frame or sends a bad frame ends only its own connection
+#: — and the reason each is counted under
+#: (``serve.connection_errors.<reason>``), most specific class first.
+_CONNECTION_ERRORS = (
+    (asyncio.IncompleteReadError, "incomplete_read"),
+    (ProtocolError, "protocol"),
+    (ConnectionError, "connection"),
+    (OSError, "os"),
+)
+
 
 class _Subscriber:
     """One subscribed connection: a filter, a bounded outbound queue,
@@ -201,8 +212,10 @@ class _Subscriber:
                             seq=frame.get("seq"),
                         )
                 self.server._push_samples.append(elapsed)
-        except (ConnectionError, asyncio.CancelledError, OSError):
-            pass
+        except (ConnectionError, OSError) as exc:
+            self.server._count_connection_error(exc)
+        except asyncio.CancelledError:
+            pass  # shutdown, not an error
         finally:
             self.alive = False
             self.server._unsubscribe(self)
@@ -455,8 +468,8 @@ class ViolationServer:
                         },
                         framing,
                     )
-        except (ConnectionError, asyncio.IncompleteReadError, ProtocolError, OSError):
-            pass
+        except (ConnectionError, asyncio.IncompleteReadError, ProtocolError, OSError) as exc:
+            self._count_connection_error(exc)
         except asyncio.CancelledError:
             # Loop shutdown: run the cleanup below and end *uncancelled*,
             # or 3.11's stream-protocol callback logs a spurious error
@@ -471,8 +484,10 @@ class ViolationServer:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
+            except (ConnectionError, OSError) as exc:
+                self._count_connection_error(exc)
+            except asyncio.CancelledError:
+                pass  # shutdown, not an error
 
     async def _on_subscribe(
         self,
@@ -778,6 +793,13 @@ class ViolationServer:
             sink = _metrics.sink()
             if sink.enabled:
                 sink.incr(name, value)
+
+    def _count_connection_error(self, exc: BaseException) -> None:
+        """Count one absorbed connection failure under its reason."""
+        for kind, reason in _CONNECTION_ERRORS:
+            if isinstance(exc, kind):
+                self._count(f"serve.connection_errors.{reason}")
+                return
 
     def stats(self) -> dict[str, Any]:
         """Lifetime serving statistics, independent of the telemetry

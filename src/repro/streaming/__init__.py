@@ -13,8 +13,10 @@ changing data:
   emits an exact :class:`StreamDelta` (introduced / retired / updated)
   while staying byte-identical to a from-scratch
   :func:`~repro.reasoning.validation.find_violations` of the final graph;
-* :mod:`repro.streaming.delta` — the kernel: Σ grouped by skeleton,
-  each touched node pinned once per group and enumerated along the
+* :mod:`repro.streaming.delta` — the kernel: each batch typed by what
+  it changed of what Σ reads into a footprint (added nodes, nodes with
+  a read attribute changed, added edges of a read label), Σ grouped by
+  skeleton, each pin set run once per group and enumerated along the
   pattern's own edges (so the search stays in its neighborhood),
   quick-rejected through the index's 1-hop neighborhood signatures;
 * :mod:`repro.streaming.parallel` — :class:`EngineDeltaExecutor`, which

@@ -13,17 +13,20 @@ coherence traffic.  The summed slice sizes (``ops_routed``) versus
 per-fragment indexes are maintained by the same slices.
 
 The introduced-violation scan is fragment-local where the
-ball-completeness rule allows: a touched node whose max-pattern-radius
-ball closes inside its owner fragment is scanned by the ordinary
-:func:`~repro.streaming.delta.delta_violations` kernel **on the
-fragment's induced subgraph**; touched nodes whose balls cross cuts —
-and every dependency whose pattern spans multiple weakly connected
-components (a pin leaves the other components unconstrained, so no
-fragment suffices) — escalate to the same kernel on the coordinator's
-whole graph.  Duplicates across passes (one match meeting touched nodes
-in two fragments) are resolved by the ledger's keyed insert, exactly as
-on the engine path; the maintained violation set stays byte-identical
-to the serial kernel's, which the property tests assert.
+ball-completeness rule allows.  It pins the nodes the ledger passes:
+its batch footprint's node pins plus its edge pins' endpoints
+(:meth:`~repro.streaming.delta.Footprint.pivots`).  A pinned node
+whose max-pattern-radius ball closes inside its owner fragment is
+scanned by the ordinary :func:`~repro.streaming.delta.delta_violations`
+kernel **on the fragment's induced subgraph**; pinned nodes whose balls
+cross cuts — and every dependency whose pattern spans multiple weakly
+connected components (a pin leaves the other components unconstrained,
+so no fragment suffices) — escalate to the same kernel on the
+coordinator's whole graph.  Duplicates across passes (one match meeting
+pinned nodes in two fragments) are resolved by the ledger's keyed
+insert, exactly as on the engine path; the maintained violation set
+stays byte-identical to the serial kernel's, which the property tests
+assert.
 """
 
 from __future__ import annotations

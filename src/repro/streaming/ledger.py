@@ -2,22 +2,39 @@
 
 :class:`ViolationLedger` holds the *current* violation set of (G, Σ)
 keyed by ``(dependency position in Σ, embedding)`` and, per
-:class:`~repro.graph.update.GraphUpdate` batch, computes an exact delta:
+:class:`~repro.graph.update.GraphUpdate` batch, computes an exact delta
+from the batch's **footprint**
+(:func:`~repro.streaming.delta.batch_footprint`): what the batch
+changed of the attributes and edge labels Σ reads, typed by change
+(Σ's read set, :func:`~repro.streaming.delta.sigma_reads`, is computed
+once per ledger):
 
 * **retired / updated** — an inverted *embedding index* (node id → ledger
-  keys whose match image contains it) selects exactly the entries whose
-  embedding meets the batch's touched set; only those are re-checked
-  (does the match still exist? does X still hold? which Y literals fail
-  now?).  Entries whose embeddings avoid every touched element evaluated
-  identically before the batch and are never looked at.
+  keys whose match image contains it) selects the **recheck set**: the
+  entries that meet a deleted node or a node where a read attribute was
+  written or deleted, plus the entries that meet *both* endpoints of a
+  deleted edge whose label Σ reads.  Only those are re-checked (does
+  the match still exist? does X still hold? which Y literals fail
+  now?).  Every other entry — including one at a node that only gained
+  an edge, or had an attribute written that no rule reads — evaluates
+  exactly as before the batch and is never looked at.
 * **introduced** — the :mod:`~repro.streaming.delta` kernel enumerates
-  every post-update violation whose match meets the touched set (one
-  executor run per Σ group and pattern variable, over that variable's
-  pin set of touched nodes, extended along the pattern's edges); keys
-  not yet in the ledger are the introduced ones.  A key the kernel
-  re-finds that the ledger already holds was itself re-checked by the
-  retirement pass (its embedding meets the touched set), so the two
-  passes agree.
+  every post-update violation whose match meets a node pin (an added
+  node, or a node with a read attribute changed) or maps a pattern edge
+  onto an edge pin (an added edge whose label Σ reads): one executor
+  run per Σ group and pinned pattern variable, and one per Σ group and
+  pinned pattern edge.  Keys not yet in the ledger are the introduced
+  ones.  A key the kernel re-finds that the ledger already holds is
+  either unchanged (the kernel's pools admit a little more than the
+  new matches) or was itself re-checked by the retirement pass (a read
+  attribute changed at one of its nodes), so the two passes agree.
+
+The :mod:`~repro.streaming.delta` module docstring gives the argument
+that the footprint loses nothing.  The engine and fragment backends
+take the node pins plus the edge pins' endpoints as their node pins —
+every match through an edge pin meets both endpoints, so they find
+every violation the serial kernel finds — and keep their worker
+protocol.
 
 The result is an invariant the property tests assert byte-for-byte:
 after any stream of batches, :meth:`violations` equals a from-scratch
@@ -42,7 +59,12 @@ from repro.reasoning.validation import Violation, evaluate_match, find_violation
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import spans as _spans
 
-from repro.streaming.delta import delta_violations
+from repro.streaming.delta import (
+    Footprint,
+    batch_footprint,
+    delta_violations,
+    sigma_reads,
+)
 
 #: Ledger key: (position of the dependency in Σ, the match embedding).
 LedgerKey = tuple[int, tuple[tuple[str, str], ...]]
@@ -80,8 +102,8 @@ class StreamDelta:
     introduced: list[Violation] = field(default_factory=list)
     retired: list[Violation] = field(default_factory=list)
     updated: list[Violation] = field(default_factory=list)  # same key, new failed set
-    rechecked: int = 0  # ledger entries re-evaluated
-    touched: int = 0  # nodes touched by the batch
+    rechecked: int = 0  # ledger entries re-evaluated: the footprint's recheck set
+    touched: int = 0  # nodes touched by the batch (``update.touched_nodes()``)
     wall_seconds: float = 0.0
 
     def is_empty(self) -> bool:
@@ -150,6 +172,7 @@ class ViolationLedger:
         self._entries: dict[LedgerKey, Violation] = {}
         self._by_node: dict[str, set[LedgerKey]] = {}
         self._position = {id(ged): index for index, ged in enumerate(self.sigma)}
+        self._reads = sigma_reads(self.sigma)
         self._executor = None  # created lazily on the first engine refresh
         self._router = None  # created lazily on the first fragment refresh
 
@@ -169,6 +192,22 @@ class ViolationLedger:
                 keys.discard(key)
                 if not keys:
                     del self._by_node[node_id]
+
+    def _recheck_set(self, footprint: Footprint) -> set[LedgerKey]:
+        """The entries that meet a recheck node, or both endpoints of a
+        recheck edge: the only ones whose status the batch can change."""
+        affected: set[LedgerKey] = set()
+        by_node = self._by_node
+        for node_id in footprint.recheck_nodes:
+            keys = by_node.get(node_id)
+            if keys:
+                affected |= keys
+        for source, _, target in footprint.recheck_edges:
+            at_source = by_node.get(source)
+            at_target = by_node.get(target)
+            if at_source and at_target:
+                affected |= at_source & at_target
+        return affected
 
     def _evaluate(self, key: LedgerKey) -> Violation | None:
         """Re-derive one entry's current status from the graph."""
@@ -202,7 +241,7 @@ class ViolationLedger:
     def refresh(self, update: GraphUpdate) -> StreamDelta:
         """Apply one batch and return the exact violation delta."""
         started = time.perf_counter()
-        touched = update.touched_nodes()
+        footprint = batch_footprint(update, self._reads)
         if self.backend == "engine" and self._executor is None:
             from repro.streaming.parallel import EngineDeltaExecutor
 
@@ -222,12 +261,10 @@ class ViolationLedger:
         with _spans.span("stream.apply"):
             apply_update_indexed(self.graph, update)  # validates the whole batch first
         self.seq += 1
-        delta = StreamDelta(seq=self.seq, touched=len(touched))
+        delta = StreamDelta(seq=self.seq, touched=len(update.touched_nodes()))
 
-        # -- retire / update: exactly the entries meeting the batch ----
-        affected: set[LedgerKey] = set()
-        for node_id in touched:
-            affected |= self._by_node.get(node_id, set())
+        # -- retire / update: exactly the entries the batch may change --
+        affected = self._recheck_set(footprint)
         delta.rechecked = len(affected)
         with _spans.span("stream.retire_check", affected=len(affected)):
             for key in sorted(affected):
@@ -240,18 +277,25 @@ class ViolationLedger:
                     self._entries[key] = current
                     delta.updated.append(current)
 
-        # -- introduce: every post-batch violation meeting the batch ---
-        with _spans.span("stream.introduce", backend=self.backend):
+        # -- introduce: every post-batch violation meeting the footprint --
+        with _spans.span(
+            "stream.introduce",
+            backend=self.backend,
+            pins=len(footprint.node_pins),
+            edge_pins=len(footprint.edge_pins),
+        ):
             if self._executor is not None:
-                found = self._executor.refresh(update, touched)
+                found = self._executor.refresh(update, footprint.pivots())
             elif self._router is not None:
-                found = self._router.refresh(self.graph, update, touched)
+                found = self._router.refresh(self.graph, update, footprint.pivots())
             else:
-                found = delta_violations(self.graph, self.sigma, touched)
+                found = delta_violations(
+                    self.graph, self.sigma, footprint.node_pins, footprint.edge_pins
+                )
         # Canonical (dep position, embedding) order: the serial kernel
         # yields its runs' enumeration order (group, then pinned
-        # variable, then executor order) and the engine merge is
-        # sorted — sorting here makes the emitted delta
+        # variable or edge, then executor order) and the engine merge
+        # is sorted — sorting here makes the emitted delta
         # backend-independent.
         for dep_index, violation in sorted(found, key=lambda f: (f[0], f[1].match)):
             key = (dep_index, violation.match)

@@ -20,8 +20,11 @@ re-broadcast the whole graph per batch and lose to serial immediately).
   re-broadcasts a fresh snapshot — the streaming analogue of the update
   log's periodic checkpoints — and the log resets.
 
-Shards partition the touched-node pivots, so each worker pins only its
-own pivots; one match meeting touched nodes in two shards is found
+Shards partition the pivots — the ledger passes its batch footprint's
+node pins plus its edge pins' endpoints
+(:meth:`~repro.streaming.delta.Footprint.pivots`), an exact superset
+of what its serial kernel pins — so each worker pins only its
+own pivots; one match meeting pivots in two shards is found
 twice and de-duplicated (deterministically) at the merge.  The merged
 result is byte-identical to the serial kernel's — the backend
 determinism property tests assert it.

@@ -1,5 +1,10 @@
 """Unit tests for the property-graph substrate."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import GraphError
@@ -159,6 +164,37 @@ class TestWholeGraphOps:
         assert sub.num_nodes == 2
         assert sub.has_edge("a", "create", "b")
         assert not sub.has_node("c")
+
+    def test_induced_subgraph_keeps_table_order(self):
+        g = simple_graph()
+        g.add_node("c", "person")
+        assert g.induced_subgraph(["c", "a"]).node_ids == ["a", "c"]
+        assert g.induced_subgraph({"c", "b", "a"}).node_ids == ["a", "b", "c"]
+
+    def test_induced_subgraph_rejects_unknown_ids(self):
+        with pytest.raises(GraphError, match="unknown node 'z'"):
+            simple_graph().induced_subgraph(["a", "z"])
+
+    def test_induced_subgraph_columns_ignore_hash_seed(self):
+        """Two interpreters with different string hashing induce the
+        same subgraph columns from one set of ids."""
+        script = (
+            "from repro.workloads import validation_workload\n"
+            "graph = validation_workload(40, rng=3)\n"
+            "print(repr(graph.induced_subgraph(set(graph.node_ids)).to_columns()))\n"
+        )
+        root = pathlib.Path(__file__).resolve().parents[2]
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+            outputs.append(
+                subprocess.run(
+                    [sys.executable, "-c", script],
+                    cwd=root, env=env, capture_output=True, check=True, timeout=120,
+                ).stdout
+            )
+        assert outputs[0] == outputs[1]
 
     def test_size_counts_nodes_edges_attrs(self):
         g = simple_graph()

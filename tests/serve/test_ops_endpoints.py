@@ -9,6 +9,8 @@ in-process :class:`ViolationServer`.
 
 import asyncio
 import json
+import socket
+import struct
 
 import pytest
 
@@ -145,6 +147,52 @@ class TestMetrics:
                 assert status == "HTTP/1.1 200 OK"
                 families = parse_exposition(body.decode("utf-8"))
                 assert "repro_serve_seq" in families
+
+        run(scenario())
+
+    def test_reset_subscriber_is_counted_and_publisher_served(self):
+        """A subscriber that resets its socket mid-stream shows up as a
+        connection error on /metrics; the publisher keeps getting acks."""
+        stream = stream_fixture()
+        graph = stream.base.copy()
+
+        async def scenario():
+            async with ViolationServer(graph, stream.sigma) as server:
+                victim = await ServeClient.connect("127.0.0.1", server.port)
+                pub = await ServeClient.connect("127.0.0.1", server.port)
+                await victim.subscribe()
+                await pub.send_update(stream.updates[0])
+                assert (await victim.next_event(timeout=5))["seq"] == 1
+
+                # A zero linger makes the close send RST, not FIN.
+                sock = victim._writer.get_extra_info("socket")
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                victim._writer.transport.abort()
+
+                for seq, update in enumerate(stream.updates[1:4], start=2):
+                    assert (await pub.send_update(update))["seq"] == seq
+
+                def counted():
+                    return sum(
+                        value
+                        for name, value in server.stats().items()
+                        if name.startswith("serve.connection_errors.")
+                    )
+
+                for _ in range(50):
+                    if counted():
+                        break
+                    await asyncio.sleep(0.02)
+                assert counted() > 0
+                raw = await http_request(server.port, "GET /metrics HTTP/1.1\r\n\r\n")
+                families = parse_exposition(split_response(raw)[2].decode("utf-8"))
+                exposed = [
+                    name for name in families if name.startswith("repro_serve_connection_errors_")
+                ]
+                assert exposed
+                assert all(families[name]["type"] == "counter" for name in exposed)
+                assert server.subscriber_count == 0
+                await pub.close()
 
         run(scenario())
 

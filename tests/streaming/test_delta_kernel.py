@@ -2,7 +2,8 @@
 violation an update introduces is found through the touched nodes and
 one it fixes is retired; on churn batches, the kernel reports exactly
 the full scan's violations that meet the batch, in at most one
-executor run per (Σ group, pattern variable)."""
+executor run per (Σ group, pattern variable) plus one per (Σ group,
+pattern edge) with edge pins."""
 
 import random
 
@@ -22,6 +23,7 @@ from repro.patterns.labels import WILDCARD
 from repro.reasoning import find_violations
 from repro.reasoning.validation import sigma_groups
 from repro.streaming import ViolationLedger, delta_violations
+from repro.streaming.delta import batch_footprint, sigma_reads
 from tests.streaming.shapes import STREAMS, shape_churn_stream
 
 
@@ -200,12 +202,62 @@ class TestPerBatchOracle:
             }
             assert {(index, v.match, v.failed) for index, v in reported} == expected
 
+    @STREAMS
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000), st.booleans())
+    def test_footprint_pins_find_every_violation_through_them(
+        self, make_stream, seed, indexed
+    ):
+        """With a batch's footprint, the kernel reports every post-batch
+        violation whose match meets a node pin or maps a pattern edge
+        onto an edge pin, and nothing that is not a violation."""
+        stream = make_stream(
+            n_nodes=random.Random(seed).randint(20, 60),
+            batches=6,
+            batch_size=8,
+            rng=seed,
+        )
+        graph = stream.base.copy()
+        if indexed:
+            attach_index(graph)
+        reads = sigma_reads(stream.sigma)
+        position = {id(ged): index for index, ged in enumerate(stream.sigma)}
+        for update in stream.updates:
+            footprint = batch_footprint(update, reads)
+            apply_update_indexed(graph, update)
+            reported = delta_violations(
+                graph, stream.sigma, footprint.node_pins, footprint.edge_pins
+            )
+            keys = [(index, violation.match) for index, violation in reported]
+            assert len(keys) == len(set(keys))
+            full = {
+                (position[id(v.ged)], v.match, v.failed): v
+                for v in find_violations(graph, stream.sigma)
+            }
+            found = {(index, v.match, v.failed) for index, v in reported}
+            assert found <= set(full)
+
+            def through_pins(violation):
+                image = dict(violation.match)
+                if any(node in footprint.node_pins for node in image.values()):
+                    return True
+                return any(
+                    (image[x], image[y]) == (source, target)
+                    and label in (WILDCARD, edge_label)
+                    for x, label, y in violation.ged.pattern.edges
+                    for source, edge_label, target in footprint.edge_pins
+                )
+
+            assert {key for key, v in full.items() if through_pins(v)} <= found
+
 
 class TestKernelWorkBound:
     """The kernel runs the executor once per (Σ group, variable) with a
-    non-empty pin set, whatever the number of touched nodes.  Counted
-    through ``repro.streaming.delta.execute_over_pools``, the name the
-    kernel calls and the traced serve benchmark wraps."""
+    non-empty pin set, plus once per (Σ group, pattern edge) with edge
+    pins of a matching label, whatever the number of touched nodes or
+    added edges.  Counted through
+    ``repro.streaming.delta.execute_over_pools``, the name the kernel
+    calls and the traced serve benchmark wraps."""
 
     @staticmethod
     def record_runs(monkeypatch):
@@ -236,6 +288,22 @@ class TestKernelWorkBound:
         runs = self.record_runs(monkeypatch)
         assert delta_violations(graph, sigma, touched)
         bound = sum(len(pattern.variables) for pattern, _, _ in sigma_groups(graph, sigma))
+        assert 0 < len(runs) <= bound
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["plain", "indexed"])
+    def test_at_most_one_run_per_group_pattern_edge(self, monkeypatch, indexed):
+        graph, sigma, touched = self.shapes_graph(indexed)
+        edge_pins = sorted(graph.edges)[::7]
+        assert len(edge_pins) >= 20
+        groups = sigma_groups(graph, sigma)
+        runs = self.record_runs(monkeypatch)
+        assert delta_violations(graph, sigma, (), edge_pins)
+        assert 0 < len(runs) <= sum(len(pattern.edges) for pattern, _, _ in groups)
+        runs.clear()
+        assert delta_violations(graph, sigma, touched, edge_pins)
+        bound = sum(
+            len(pattern.variables) + len(pattern.edges) for pattern, _, _ in groups
+        )
         assert 0 < len(runs) <= bound
 
     def test_index_rejected_nodes_leave_the_pin_pool(self, monkeypatch):
