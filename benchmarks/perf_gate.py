@@ -1,9 +1,8 @@
 #!/usr/bin/env python
 """The CI perf-regression gate for the matching core, Σ grouping, the
-engine runtime, streaming, the fragmented graph core, the telemetry
-layer, and the push server.
+engine runtime, streaming, the telemetry layer, and the push server.
 
-Seven gates, all against thresholds committed in
+Six gates, all against thresholds committed in
 ``benchmarks/baseline.json``:
 
 * **matching** — plan-compiled validation versus the seed interpreter
@@ -31,13 +30,6 @@ Seven gates, all against thresholds committed in
   ``benchmarks/bench_streaming.py``, which also asserts byte-identity
   of the maintained and recomputed reports); fails when the per-batch
   speedup drops below its floor (≥ 5x).  Emits ``BENCH_streaming.json``.
-* **fragments** — the fragmented graph core (the kernel of
-  ``benchmarks/bench_fragments.py``): the largest fragment-resident
-  per-worker broadcast at 4 greedy fragments of the clustered workload
-  must stay ≤ 0.5x the whole-graph snapshot, and the in-process
-  ``fragment`` validation backend must stay ≥ 1.0x the warm ``engine``
-  backend on the reference workload, byte-identically.  Emits
-  ``BENCH_fragments.json``.
 * **telemetry** — instrumentation overhead on serial validation of the
   reference workload: disabled (the null-sink default) must stay within
   5% of a back-to-back reference run, enabled within 15%, and the
@@ -377,55 +369,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {streaming_path}")
 
     # ------------------------------------------------------------------
-    # Fragments gate: per-worker broadcast vs whole graph, and the
-    # fragment backend vs the warm engine backend.
-    # ------------------------------------------------------------------
-    from benchmarks.bench_fragments import run_fragments_bench
-
-    fragments_conf = baseline["fragments"]
-    fragments_workload = fragments_conf["workload"]
-    fragments_thresholds = fragments_conf["thresholds"]
-    print(
-        f"fragments workload: clustered_workload({fragments_workload['nodes']}, "
-        f"clusters={fragments_workload['clusters']}) + validation_workload"
-        f"({fragments_workload['nodes']}), {fragments_workload['fragments']} fragment(s)"
-    )
-    fragments = run_fragments_bench(
-        nodes=fragments_workload["nodes"],
-        rng=fragments_workload["rng"],
-        fragments=fragments_workload["fragments"],
-        clusters=fragments_workload["clusters"],
-        repeats=fragments_conf["repeats"],
-    )
-    for record in fragments["records"]:
-        if record["kind"] == "broadcast":
-            print(
-                f"  broadcast {record['workload']:<9} {record['mode']:<6} "
-                f"max fragment {record['max_fragment_bytes']:>6} B "
-                f"({record['max_fragment_ratio']:.2f}x whole graph, "
-                f"{record['cut_edges']} cut edge(s))"
-            )
-    print(
-        f"  fragment backend {fragments['fragment_wall_s'] * 1000:8.2f} ms vs "
-        f"engine {fragments['engine_wall_s'] * 1000:8.2f} ms — "
-        f"{fragments['fragment_vs_engine']:.2f}x (reports byte-identical)"
-    )
-    fragments_path = emit_bench(
-        "fragments",
-        fragments["records"],
-        meta={
-            "config": fragments["config"],
-            "broadcast_ratio": fragments["broadcast_ratio"],
-            "fragment_wall_s": fragments["fragment_wall_s"],
-            "engine_wall_s": fragments["engine_wall_s"],
-            "fragment_vs_engine": fragments["fragment_vs_engine"],
-            "thresholds": fragments_thresholds,
-        },
-        directory=args.output_dir,
-    )
-    print(f"wrote {fragments_path}")
-
-    # ------------------------------------------------------------------
     # Telemetry gate: instrumentation overhead, disabled and enabled.
     # ------------------------------------------------------------------
     from repro import telemetry
@@ -570,20 +513,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     failures = []
-    if fragments["broadcast_ratio"] > fragments_thresholds["max_fragment_broadcast_ratio"]:
-        failures.append(
-            f"fragment-resident broadcast "
-            f"{fragments['broadcast_ratio']:.2f}x of whole graph > "
-            f"{fragments_thresholds['max_fragment_broadcast_ratio']}x "
-            f"(clustered workload, greedy, "
-            f"{fragments_workload['fragments']} fragments)"
-        )
-    if fragments["fragment_vs_engine"] < fragments_thresholds["min_fragment_speedup_vs_engine"]:
-        failures.append(
-            f"fragment backend speedup over warm engine "
-            f"{fragments['fragment_vs_engine']:.2f}x < "
-            f"{fragments_thresholds['min_fragment_speedup_vs_engine']}x"
-        )
     if matching["speedup_unindexed"] < matching_thresholds["min_plan_speedup_vs_seed"]:
         failures.append(
             f"plan-compiled validation speedup over the seed interpreter "

@@ -12,15 +12,13 @@ Operates on JSON files in the formats of :mod:`repro.graph.io` and
     python -m repro.cli discover --graph kb.json --min-support 3 -o rules.json
     python -m repro.cli cover --rules rules.json -o cover.json
     python -m repro.cli pvalidate --graph kb.json --rules rules.json --backend engine --workers 4
-    python -m repro.cli pvalidate --graph kb.json --rules rules.json --backend fragment
-    python -m repro.cli partition --graph kb.json --fragments 4 --mode greedy
     python -m repro.cli index --graph kb.json [--rules rules.json]
     python -m repro.cli explain --graph kb.json --rules rules.json --index
     python -m repro.cli engine --graph kb.json --rules rules.json --workers 4
     python -m repro.cli stream --log updates.jsonl --rules rules.json --index
     python -m repro.cli serve --log updates.jsonl --rules rules.json --graph kb.json
     python -m repro.cli subscribe --port 4200 --label city --rule one-capital
-    python -m repro.cli stats --graph kb.json --rules rules.json --backend fragment
+    python -m repro.cli stats --graph kb.json --rules rules.json --backend engine
     python -m repro.cli pvalidate --graph kb.json --rules rules.json \
         --backend engine --telemetry ndjson:run.ndjson
     python -m repro.cli trace run.ndjson
@@ -187,13 +185,7 @@ def cmd_pvalidate(args: argparse.Namespace) -> int:
         from repro.indexing import attach_index
 
         attach_index(graph)
-    report = parallel_find_violations(
-        graph,
-        rules,
-        workers=args.workers,
-        backend=args.backend,
-        fragment_mode=getattr(args, "fragment_mode", "hash"),
-    )
+    report = parallel_find_violations(graph, rules, workers=args.workers, backend=args.backend)
     print(
         f"{len(report.violations)} violation(s) "
         f"[{report.backend}, {report.workers} worker(s), "
@@ -261,58 +253,6 @@ def cmd_engine(args: argparse.Namespace) -> int:
     return 0 if report.valid else 1
 
 
-def cmd_partition(args: argparse.Namespace) -> int:
-    """`partition`: edge-cut the graph, print fragment + broadcast stats.
-
-    Shows what the fragmented core buys: per-fragment interior/border
-    sizes, the cut and replication totals, partition balance, and the
-    per-worker broadcast payloads versus the whole-graph snapshot
-    (fragment-resident workers receive only their fragment).  With
-    ``--rules``, also reports how much of each dependency's pivot work
-    is locally decidable under the ball-completeness rule.
-    """
-    from repro.engine.snapshot import snapshot_fragments, snapshot_graph, snapshot_size
-    from repro.graph.fragments import fragment_stats, partition_graph
-
-    graph = load_graph(args.graph)
-    fragmentation = partition_graph(graph, args.fragments, args.mode)
-    stats = fragment_stats(fragmentation)
-    print(
-        f"partition: {stats['k']} fragment(s), mode {stats['mode']}, "
-        f"{stats['cut_edges']} cut edge(s), {stats['replicated_nodes']} "
-        f"border replica(s), balance {stats['balance']:.2f}"
-    )
-    whole_bytes = snapshot_size(snapshot_graph(graph))
-    payload_sizes = [len(s.payload()) for s in snapshot_fragments(fragmentation)]
-    for entry, payload in zip(stats["fragments"], payload_sizes):
-        print(
-            f"  fragment {entry['fragment']}: {entry['interior']} interior + "
-            f"{entry['border']} border node(s), {entry['local_edges']} edge(s), "
-            f"{payload} byte(s) broadcast"
-        )
-    largest = max(payload_sizes, default=0)
-    print(
-        f"broadcast: whole graph {whole_bytes} byte(s) per worker; "
-        f"fragment-resident max {largest} byte(s) "
-        f"({largest / whole_bytes:.2f}x) / total {sum(payload_sizes)} byte(s)"
-    )
-    if args.rules:
-        from repro.parallel.validate import plan_fragment_pivots
-
-        rules = load_rules(args.rules)
-        print(f"ball-completeness over {len(rules)} rule(s):")
-        for ged in rules:
-            _, per_fragment, escalated = plan_fragment_pivots(graph, ged, fragmentation)
-            local = sum(len(pivots) for _, pivots in per_fragment)
-            total = local + len(escalated)
-            percent = 100.0 * local / total if total else 100.0
-            print(
-                f"  {ged.name or 'GED'}: {local}/{total} pivot(s) fragment-local "
-                f"({percent:.0f}%), {len(escalated)} escalated"
-            )
-    return 0
-
-
 def cmd_stream(args: argparse.Namespace) -> int:
     """`stream`: replay an update log, emit NDJSON violation deltas.
 
@@ -348,54 +288,44 @@ def cmd_stream(args: argparse.Namespace) -> int:
         from repro.indexing import attach_index
 
         attach_index(graph)
-    with ViolationLedger(
-        graph,
-        rules,
-        backend=args.backend,
-        workers=args.workers,
-        fragment_mode=getattr(args, "fragment_mode", "hash"),
-    ) as ledger:
-        initial = ledger.bootstrap()
-        print(
-            json.dumps(
-                {
-                    "type": "bootstrap",
-                    "violations": len(initial),
-                    "rules": len(rules),
-                    "nodes": graph.num_nodes,
-                    "edges": graph.num_edges,
-                },
-                sort_keys=True,
-            ),
-            flush=True,
-        )
-        batches = 0
-        for record in records:
-            if record["type"] != "update" or record["seq"] <= base_seq:
-                continue
-            delta = ledger.refresh(update_from_dict(record["update"]))
-            batches += 1
-            payload = {"type": "delta", "log_seq": record["seq"], **delta.to_dict()}
-            print(json.dumps(payload, sort_keys=True), flush=True)
-        remaining = ledger.violations()
-        sample_size = 5 if args.limit is None else args.limit
-        transport = ledger.transport_stats()
-        print(
-            json.dumps(
-                {
-                    "type": "summary",
-                    "batches": batches,
-                    "violations": len(remaining),
-                    "routed_ops": transport["routed_ops"],
-                    "full_ops": transport["full_ops"],
-                    "escalated_nodes": transport["escalated_nodes"],
-                    "sample": [violation_to_dict(v) for v in remaining[:sample_size]],
-                },
-                sort_keys=True,
-            ),
-            flush=True,
-        )
-        return 0 if not remaining else 1
+    ledger = ViolationLedger(graph, rules)
+    initial = ledger.bootstrap()
+    print(
+        json.dumps(
+            {
+                "type": "bootstrap",
+                "violations": len(initial),
+                "rules": len(rules),
+                "nodes": graph.num_nodes,
+                "edges": graph.num_edges,
+            },
+            sort_keys=True,
+        ),
+        flush=True,
+    )
+    batches = 0
+    for record in records:
+        if record["type"] != "update" or record["seq"] <= base_seq:
+            continue
+        delta = ledger.refresh(update_from_dict(record["update"]))
+        batches += 1
+        payload = {"type": "delta", "log_seq": record["seq"], **delta.to_dict()}
+        print(json.dumps(payload, sort_keys=True), flush=True)
+    remaining = ledger.violations()
+    sample_size = 5 if args.limit is None else args.limit
+    print(
+        json.dumps(
+            {
+                "type": "summary",
+                "batches": batches,
+                "violations": len(remaining),
+                "sample": [violation_to_dict(v) for v in remaining[:sample_size]],
+            },
+            sort_keys=True,
+        ),
+        flush=True,
+    )
+    return 0 if not remaining else 1
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -420,8 +350,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     it would trigger, 1-3 of them full passes, find nothing; frozen,
     that heap is never walked again.  ``from_log`` itself stays
     collector-neutral, since tests build many servers in one process.
-    Recovery forks no worker (engine and fragment pools start on the
-    first batch), so no child inherits the paused collector.
     """
     import asyncio
     import gc
@@ -439,9 +367,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 args.log,
                 rules,
                 base_graph=base_graph,
-                backend=args.backend,
-                workers=args.workers,
-                fragment_mode=getattr(args, "fragment_mode", "hash"),
                 checkpoint_every=args.checkpoint_every,
                 queue_size=args.queue_size,
                 host=args.host,
@@ -652,11 +577,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     telemetry.enable()
     try:
         report = parallel_find_violations(
-            graph,
-            rules,
-            workers=args.workers,
-            backend=args.backend,
-            fragment_mode=getattr(args, "fragment_mode", "hash"),
+            graph, rules, workers=args.workers, backend=args.backend
         )
         snapshot = telemetry.snapshot()
     finally:
@@ -829,38 +750,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="serial",
     )
     pvalidate_cmd.add_argument(
-        "--fragment-mode",
-        choices=["hash", "greedy"],
-        default="hash",
-        help="partitioner for --backend fragment (workers = fragment count)",
-    )
-    pvalidate_cmd.add_argument(
         "--index",
         action="store_true",
-        help="attach a repro.indexing index shared by all in-process shards",
+        help="attach a repro.indexing index before validating",
     )
     pvalidate_cmd.set_defaults(func=cmd_pvalidate)
-
-    partition_cmd = sub.add_parser(
-        "partition",
-        help="edge-cut the graph into fragments, print partition/broadcast stats",
-    )
-    partition_cmd.add_argument("--graph", required=True)
-    partition_cmd.add_argument(
-        "--fragments", type=int, default=4, help="fragment count (default 4)"
-    )
-    partition_cmd.add_argument(
-        "--mode",
-        choices=["hash", "greedy"],
-        default="greedy",
-        help="edge-cut partitioner (default greedy)",
-    )
-    partition_cmd.add_argument(
-        "--rules",
-        default=None,
-        help="also report per-rule fragment-local vs escalated pivot counts",
-    )
-    partition_cmd.set_defaults(func=cmd_partition)
 
     stream_cmd = sub.add_parser(
         "stream",
@@ -872,22 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--graph",
         default=None,
         help="base graph JSON (default: restore the log's leading checkpoint)",
-    )
-    stream_cmd.add_argument(
-        "--backend",
-        choices=["serial", "engine", "fragment"],
-        default="serial",
-        help="delta path: in-process, sharded over a warm engine pool, "
-        "or routed to fragment-resident replicas",
-    )
-    stream_cmd.add_argument(
-        "--fragment-mode",
-        choices=["hash", "greedy"],
-        default="hash",
-        help="partitioner for --backend fragment (workers = fragment count)",
-    )
-    stream_cmd.add_argument(
-        "--workers", type=int, default=None, help="engine pool size (default: one per CPU)"
     )
     stream_cmd.add_argument(
         "--index",
@@ -911,21 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--graph",
         default=None,
         help="base graph JSON, required when the log does not exist yet or holds no record",
-    )
-    serve_cmd.add_argument(
-        "--backend",
-        choices=["serial", "engine", "fragment"],
-        default="serial",
-        help="ledger delta path (same choices as `stream`)",
-    )
-    serve_cmd.add_argument(
-        "--workers", type=int, default=None, help="pool size / fragment count"
-    )
-    serve_cmd.add_argument(
-        "--fragment-mode",
-        choices=["hash", "greedy"],
-        default="hash",
-        help="partitioner for --backend fragment",
     )
     serve_cmd.add_argument(
         "--checkpoint-every",
@@ -1042,13 +905,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats_cmd.add_argument(
         "--backend",
         type=_validation_backend,
-        default="fragment",
-    )
-    stats_cmd.add_argument(
-        "--fragment-mode",
-        choices=["hash", "greedy"],
-        default="hash",
-        help="partitioner for --backend fragment (workers = fragment count)",
+        default="serial",
     )
     stats_cmd.add_argument(
         "--index",

@@ -1,9 +1,9 @@
 """The persistent execution engine for heavy workloads.
 
 The paper's parallel story (Section 9: "parallel scalable algorithms
-... to warrant speedup with the increase of processors") presumes a
-fragment-per-worker model: ship the graph to each worker **once**, then
-stream small work units to warm workers.  The original process backend
+... to warrant speedup with the increase of processors") presumes
+workers that hold the data: ship the graph to each worker **once**,
+then stream small work units to warm workers.  The original process backend
 instead re-pickled the whole object graph per (dependency, shard) task
 and its workers ran unindexed — so real CPU parallelism lost to serial
 on every workload.  This package is the fix, shared by validation,
@@ -30,44 +30,25 @@ reference — every engine result is byte-identical to them.
 
 from repro.engine.pool import (
     EnginePool,
-    FragmentPool,
     get_pool,
     pool_for,
     release_pool,
     resolve_workers,
     shutdown_pools,
 )
-from repro.engine.scheduler import (
-    FragmentUnit,
-    TaskUnit,
-    estimate_shard_cost,
-    plan_fragment_tasks,
-    plan_tasks,
-)
-from repro.engine.snapshot import (
-    FragmentSnapshot,
-    GraphSnapshot,
-    snapshot_fragments,
-    snapshot_graph,
-    snapshot_size,
-)
+from repro.engine.scheduler import TaskUnit, estimate_shard_cost, plan_tasks
+from repro.engine.snapshot import GraphSnapshot, snapshot_graph
 
 __all__ = [
     "EnginePool",
-    "FragmentPool",
-    "FragmentSnapshot",
-    "FragmentUnit",
     "GraphSnapshot",
     "TaskUnit",
     "estimate_shard_cost",
     "get_pool",
-    "plan_fragment_tasks",
     "plan_tasks",
     "pool_for",
     "release_pool",
     "resolve_workers",
     "shutdown_pools",
-    "snapshot_fragments",
     "snapshot_graph",
-    "snapshot_size",
 ]

@@ -7,9 +7,8 @@ Each worker rebuilds the graph (and, when the coordinator had one, the
 index) into a module-level slot at startup; every subsequent task then
 ships only references — a dependency, a pivot variable, shard node ids —
 and executes against the warm worker state.  This replaces the old
-per-task pickling of the whole graph with a one-time broadcast, the
-fragment-per-worker execution model the paper's parallel-validation
-story presumes.
+per-task pickling of the whole graph with a one-time broadcast: the
+replicated-graph execution model of parallel validation.
 
 Pools are cached in a process-wide *weak* registry keyed by the graph
 object (mirroring :mod:`repro.indexing.registry`) and guarded by the
@@ -41,13 +40,8 @@ from repro.telemetry import spans as _spans
 from repro.telemetry import trace as _trace
 from repro.utils.registry import WeakIdRegistry
 
-from repro.engine.scheduler import FragmentUnit, TaskUnit
-from repro.engine.snapshot import (
-    FragmentSnapshot,
-    GraphSnapshot,
-    snapshot_fragments,
-    snapshot_graph,
-)
+from repro.engine.scheduler import TaskUnit
+from repro.engine.snapshot import GraphSnapshot, snapshot_graph
 
 # ----------------------------------------------------------------------
 # Worker-side state and task entry points (top level: importable by the
@@ -55,13 +49,9 @@ from repro.engine.snapshot import (
 # ----------------------------------------------------------------------
 
 _WORKER_GRAPH: Graph | None = None
-# Optional caller payload broadcast alongside the snapshot (e.g. the
-# streaming delta path's rule set) — shipped once per worker instead of
-# once per task.
-_WORKER_EXTRA = None
 
 
-def _initialize_worker(payload: bytes, extra_payload: bytes | None = None) -> None:
+def _initialize_worker(payload: bytes) -> None:
     """Pool initializer: rebuild graph (+ index) from the broadcast.
 
     Candidate pools memoize automatically from here on: the worker
@@ -72,21 +62,15 @@ def _initialize_worker(payload: bytes, extra_payload: bytes | None = None) -> No
     """
     import pickle
 
-    global _WORKER_GRAPH, _WORKER_EXTRA
+    global _WORKER_GRAPH
     snapshot: GraphSnapshot = pickle.loads(payload)
     _WORKER_GRAPH = snapshot.restore()
-    _WORKER_EXTRA = pickle.loads(extra_payload) if extra_payload is not None else None
 
 
 def _worker_graph() -> Graph:
     if _WORKER_GRAPH is None:
         raise RuntimeError("engine worker used before its snapshot broadcast")
     return _WORKER_GRAPH
-
-
-def _worker_extra():
-    """The pool's broadcast extra payload (None when none was sent)."""
-    return _WORKER_EXTRA
 
 
 def _validate_batch(
@@ -142,76 +126,6 @@ def _suggest_unit(violation, allow_backward: bool):
     return suggest_repairs(_worker_graph(), violation, allow_backward=allow_backward)
 
 
-# -- fragment-resident worker state ------------------------------------
-
-_WORKER_FRAGMENT = None  # the rebuilt Fragment (one per resident worker)
-
-
-def _initialize_fragment_worker(payload: bytes) -> None:
-    """Pool initializer: rebuild *one fragment* from its broadcast.
-
-    The resident worker never sees the rest of the graph — its memory
-    and broadcast cost are O(|fragment| + border), the whole point of
-    the fragmented core.
-    """
-    import pickle
-
-    global _WORKER_FRAGMENT
-    snapshot: FragmentSnapshot = pickle.loads(payload)
-    _WORKER_FRAGMENT = snapshot.restore()
-
-
-def _worker_fragment():
-    if _WORKER_FRAGMENT is None:
-        raise RuntimeError("fragment worker used before its snapshot broadcast")
-    return _WORKER_FRAGMENT
-
-
-def _fragment_validate_batch(
-    batch: tuple[FragmentUnit, ...], collect: bool = False, trace=None
-):
-    """Run one fragment's (dependency, local pivots) units on the
-    resident fragment graph — the ordinary shard kernel, local
-    candidate pools cached on the fragment graph for the worker's
-    lifetime.
-
-    ``collect=True`` returns ``(results, snapshot)``; the snapshot's
-    executor counters are additionally attributed to this fragment
-    (``fragment.frames_expanded.fragment<i>``) so the coordinator can
-    report per-fragment skew without knowing which worker ran what.
-    ``trace`` threads the coordinator's trace context through, exactly
-    as in :func:`_validate_batch`.
-    """
-    from repro.parallel.validate import run_shard
-
-    fragment = _worker_fragment()
-    if not collect:
-        return [
-            run_shard(
-                fragment.graph, unit.ged, unit.pivot, unit.shard, unit.fragment_index
-            )
-            for unit in batch
-        ]
-    fragment_index = batch[0].fragment_index if batch else -1
-    with _metrics.collecting() as registry:
-        with (
-            _trace.tracing(trace),
-            _spans.span("fragment.batch", fragment=fragment_index, units=len(batch)),
-        ):
-            results = [
-                run_shard(
-                    fragment.graph, unit.ged, unit.pivot, unit.shard, unit.fragment_index
-                )
-                for unit in batch
-            ]
-        if batch:
-            registry.incr(
-                f"fragment.frames_expanded.fragment{fragment_index}",
-                registry.counter_value("plan.frames_expanded"),
-            )
-    return results, _spans.collected_snapshot(registry)
-
-
 # ----------------------------------------------------------------------
 # Coordinator side
 # ----------------------------------------------------------------------
@@ -239,32 +153,18 @@ def resolve_workers(workers: int | None) -> int:
 
 
 class EnginePool:
-    """A warm process pool bound to one (graph, version) snapshot.
+    """A warm process pool bound to one (graph, version) snapshot."""
 
-    ``extra`` is an optional picklable payload broadcast to every worker
-    alongside the snapshot (readable worker-side via
-    :func:`_worker_extra`) — for per-pool-constant state like the
-    streaming delta path's rule set, which would otherwise be
-    re-pickled into every task.
-    """
-
-    def __init__(self, snapshot: GraphSnapshot, workers: int, extra=None):
-        import pickle
-
+    def __init__(self, snapshot: GraphSnapshot, workers: int):
         self.snapshot = snapshot
         self.workers = workers
         self.version = snapshot.version
         self.indexed = snapshot.indexed
         payload = snapshot.payload()  # pickle the broadcast exactly once
-        extra_payload = (
-            pickle.dumps(extra, protocol=pickle.HIGHEST_PROTOCOL)
-            if extra is not None
-            else None
-        )
         self.tasks_dispatched = 0
         self.calls = 0
         self.closed = False
-        self.broadcast_bytes = len(payload) + len(extra_payload or b"")
+        self.broadcast_bytes = len(payload)
         sink = _metrics.sink()
         sink.incr("engine.pools_built")
         sink.incr("engine.broadcast_bytes", self.broadcast_bytes)
@@ -272,7 +172,7 @@ class EnginePool:
         self._executor = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_initialize_worker,
-            initargs=(payload, extra_payload),
+            initargs=(payload,),
         )
 
     # -- generic dispatch ----------------------------------------------
@@ -351,169 +251,22 @@ class EnginePool:
         """Per-violation repair plans (repair's suggestion fan-out)."""
         return self._map(_suggest_unit, [(violation, allow_backward) for violation in violations])
 
-    def run_tasks(self, fn, argument_tuples: Sequence[tuple]) -> list:
-        """Dispatch arbitrary top-level-function tasks to the warm workers.
-
-        ``fn`` must be picklable (a module-level function) and may reach
-        the broadcast graph via :func:`_worker_graph` — the extension
-        point custom workloads (e.g. the streaming delta path of
-        :mod:`repro.streaming.parallel`) use to ride the one-time
-        broadcast without a bespoke pool.
-        """
-        return self._map(fn, argument_tuples)
-
     def close(self) -> None:
-        """Shut the workers down; the pool cannot be reused."""
+        """Shut the workers down and join them; the pool cannot be reused.
+
+        Joining matters at interpreter exit: an unjoined executor's
+        manager thread can still be closing its wake-up pipe when
+        ``concurrent.futures``' exit hook writes to it, which prints an
+        ignored ``OSError: [Errno 9] Bad file descriptor``.
+        """
         if not self.closed:
             self.closed = True
-            self._executor.shutdown(wait=False, cancel_futures=True)
+            self._executor.shutdown(wait=True, cancel_futures=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"EnginePool(workers={self.workers}, version={self.version}, "
             f"indexed={self.indexed}, broadcast={self.broadcast_bytes}B, "
-            f"dispatched={self.tasks_dispatched})"
-        )
-
-
-class FragmentPool:
-    """Fragment-resident workers: one process per fragment, each
-    initialized with **only its fragment's** snapshot.
-
-    Where :class:`EnginePool` broadcasts the whole graph to every worker
-    (O(k·|G|) across the pool), a fragment pool ships each resident
-    worker its slice — O(|G| + borders) total — and routes every
-    (dependency, fragment) unit to the worker that owns the fragment.
-    Pivots the ball-completeness rule cannot certify run coordinator-
-    side against the whole graph (the escalation path), so the merged
-    report stays byte-identical to the serial backend.
-    """
-
-    def __init__(self, fragmentation, *, graph: Graph | None = None):
-        self.fragmentation = fragmentation
-        self.snapshots = snapshot_fragments(fragmentation)
-        self.payloads = [snapshot.payload() for snapshot in self.snapshots]
-        self.fragment_bytes = [len(payload) for payload in self.payloads]
-        self.broadcast_bytes = sum(self.fragment_bytes)
-        self.max_fragment_bytes = max(self.fragment_bytes, default=0)
-        self.indexed = fragmentation.indexed
-        self.tasks_dispatched = 0
-        self.escalated_pivots = 0
-        self.closed = False
-        sink = _metrics.sink()
-        sink.incr("fragment.pools_built")
-        sink.incr("fragment.broadcast_bytes", self.broadcast_bytes)
-        self._graph = graph  # the coordinator's whole graph (escalation)
-        self._executors = [
-            ProcessPoolExecutor(
-                max_workers=1,
-                initializer=_initialize_fragment_worker,
-                initargs=(payload,),
-            )
-            for payload in self.payloads
-        ]
-
-    @classmethod
-    def partition(
-        cls, graph: Graph, k: int, mode: str = "hash", *, ensure_indexes: bool | None = None
-    ) -> "FragmentPool":
-        """Partition ``graph`` (via the fragmentation cache) and stand
-        up one resident worker per fragment."""
-        from repro.graph.fragments import get_fragments
-
-        fragmentation = get_fragments(graph, k, mode, ensure_indexes=ensure_indexes)
-        return cls(fragmentation, graph=graph)
-
-    def validate(self, sigma: Sequence[GED], graph: Graph | None = None) -> list:
-        """All (violations, stats) shard results for Σ.
-
-        Fragment units go to their resident workers — one round trip
-        per fragment, units cost-ordered by the fragment scheduler —
-        while the escalation residue runs in-process on the whole
-        graph.  The caller merges and sorts exactly like every other
-        backend (see ``parallel_find_violations``).
-        """
-        from repro.engine.scheduler import plan_fragment_tasks
-        from repro.parallel.validate import run_shard
-
-        if self.closed:
-            raise RuntimeError("fragment pool is closed")
-        graph = graph if graph is not None else self._graph
-        if graph is None:
-            raise ValueError("validate() needs the coordinator graph for escalation")
-        if graph.version != self.fragmentation.source_version:
-            # The resident workers hold snapshots of the partition-time
-            # graph; planning against a mutated coordinator would merge
-            # stale fragment-local matches with fresh escalations — a
-            # report that is neither pre- nor post-mutation.  The warm
-            # EnginePool registry retires on version mismatch; a bound
-            # fragment pool must refuse instead.
-            raise RuntimeError(
-                f"fragment pool is stale: graph version {graph.version} != "
-                f"partitioned version {self.fragmentation.source_version} "
-                "(repartition with FragmentPool.partition)"
-            )
-        units, residue = plan_fragment_tasks(graph, sigma, self.fragmentation)
-        per_fragment: dict[int, list[FragmentUnit]] = {}
-        for unit in units:
-            per_fragment.setdefault(unit.fragment_index, []).append(unit)
-        sink = _metrics.sink()
-        collect = sink.enabled
-        ctx = _trace.propagation_context() if collect else None
-        futures = []
-        for fragment_index, batch in sorted(per_fragment.items()):
-            self.tasks_dispatched += len(batch)
-            futures.append(
-                self._executors[fragment_index].submit(
-                    _fragment_validate_batch, tuple(batch), collect, ctx
-                )
-            )
-        if collect:
-            results = []
-            for future in futures:
-                batch_results, snapshot = future.result()
-                sink.merge(snapshot)
-                _spans.absorb_remote(snapshot)
-                results.extend(batch_results)
-            sink.incr(
-                "fragment.pivots.local", sum(len(unit.shard) for unit in units)
-            )
-        else:
-            results = [
-                shard_result for future in futures for shard_result in future.result()
-            ]
-        k = self.fragmentation.k
-        frames_before = sink.counter_value("plan.frames_expanded")
-        for ged, pivot, shard in residue:
-            self.escalated_pivots += len(shard)
-            sink.incr("fragment.pivots.escalated", len(shard))
-            results.append(run_shard(graph, ged, pivot, shard, k))
-        if collect and residue:
-            sink.incr(
-                "fragment.frames_expanded.coordinator",
-                sink.counter_value("plan.frames_expanded") - frames_before,
-            )
-        return results
-
-    def close(self) -> None:
-        if not self.closed:
-            self.closed = True
-            # wait=True: k tiny single-worker executors drain instantly,
-            # and a clean join avoids fd races in interpreter teardown.
-            for executor in self._executors:
-                executor.shutdown(wait=True, cancel_futures=True)
-
-    def __enter__(self) -> "FragmentPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"FragmentPool(k={self.fragmentation.k}, "
-            f"broadcast={self.broadcast_bytes}B, "
-            f"max_fragment={self.max_fragment_bytes}B, "
             f"dispatched={self.tasks_dispatched})"
         )
 
@@ -598,7 +351,6 @@ atexit.register(shutdown_pools)
 
 __all__ = [
     "EnginePool",
-    "FragmentPool",
     "get_pool",
     "pool_for",
     "release_pool",

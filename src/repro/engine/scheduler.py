@@ -23,7 +23,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.deps.ged import GED
-from repro.graph.fragments import Fragmentation
 from repro.graph.graph import Graph
 from repro.indexing.registry import get_index
 from repro.parallel.partition import plan_shards
@@ -82,68 +81,6 @@ def plan_tasks(graph: Graph, sigma: Sequence[GED], workers: int) -> list[TaskUni
     return units
 
 
-@dataclass(frozen=True)
-class FragmentUnit:
-    """One (dependency, fragment) work unit for a fragment-resident
-    worker: the locally decidable pivot ids of that dependency inside
-    that fragment (escalated pivots never enter a unit — they run on
-    the coordinator)."""
-
-    ged: GED
-    ged_position: int
-    fragment_index: int
-    pivot: str
-    shard: tuple[str, ...]
-    est_cost: int
-
-    def __str__(self) -> str:
-        return (
-            f"{self.ged.name or 'GED'}[fragment {self.fragment_index}]: "
-            f"{len(self.shard)} local pivot(s), est cost {self.est_cost}"
-        )
-
-
-def plan_fragment_tasks(
-    graph: Graph,
-    sigma: Sequence[GED],
-    fragmentation: Fragmentation,
-) -> tuple[list[FragmentUnit], list[tuple[GED, str, tuple[str, ...]]]]:
-    """(dependency, fragment) units by fragment cost profile, plus the
-    escalation residue.
-
-    Unit costs come from the *fragment's* degree profile (its local
-    index when one is attached, its adjacency totals otherwise) — the
-    same estimator the monolithic queue uses, but answering from the
-    fragment-resident state the unit will actually run against.  Units
-    are ordered largest-first per fragment (each fragment's resident
-    worker drains its own queue); the residue is one whole-graph
-    (dependency, pivot, shard) pass per dependency with escalated
-    pivots, run coordinator-side.
-    """
-    from repro.parallel.validate import plan_fragment_pivots
-
-    units: list[FragmentUnit] = []
-    residue: list[tuple[GED, str, tuple[str, ...]]] = []
-    for position, ged in enumerate(sigma):
-        pivot, per_fragment, escalated = plan_fragment_pivots(graph, ged, fragmentation)
-        for fragment_index, pivots in per_fragment:
-            fragment = fragmentation.fragments[fragment_index]
-            units.append(
-                FragmentUnit(
-                    ged=ged,
-                    ged_position=position,
-                    fragment_index=fragment_index,
-                    pivot=pivot,
-                    shard=tuple(pivots),
-                    est_cost=estimate_shard_cost(fragment.graph, pivots),
-                )
-            )
-        if escalated:
-            residue.append((ged, pivot, tuple(escalated)))
-    units.sort(key=lambda unit: (unit.fragment_index, -unit.est_cost, unit.ged_position))
-    return units, residue
-
-
 def pack_units(units: Sequence[TaskUnit], batches: int) -> list[tuple[TaskUnit, ...]]:
     """Pack cost-ordered units into ≤ ``batches`` balanced batches.
 
@@ -167,10 +104,8 @@ def pack_units(units: Sequence[TaskUnit], batches: int) -> list[tuple[TaskUnit, 
 
 
 __all__ = [
-    "FragmentUnit",
     "TaskUnit",
     "estimate_shard_cost",
     "pack_units",
-    "plan_fragment_tasks",
     "plan_tasks",
 ]

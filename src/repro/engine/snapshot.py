@@ -13,7 +13,7 @@ The snapshot also records whether the coordinating process had a synced
 serialized: rebuilding it from the restored graph is a single O(|G|)
 scan (:func:`repro.indexing.indexed_graph.build_indexes`), cheaper than
 shipping its dict-of-sets structure — this is the "broadcast the data,
-rebuild the derived state" half of the fragment-per-worker model.
+rebuild the derived state" half of the replicated-graph model.
 ``version`` is the source graph's mutation counter at capture time; the
 pool registry keys on it so a mutated graph never reuses stale workers.
 
@@ -29,7 +29,6 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.graph.fragments import Fragment, Fragmentation
 from repro.graph.graph import Graph
 from repro.graph.io import graph_from_arrays, graph_to_arrays
 from repro.indexing.registry import attach_index, get_index
@@ -79,85 +78,7 @@ def snapshot_graph(graph: Graph, *, ensure_index: bool = False) -> GraphSnapshot
     )
 
 
-def snapshot_size(snapshot: GraphSnapshot) -> int:
-    """Pickled payload size in bytes (CLI stats; compare with
-    ``len(pickle.dumps(graph))`` to see what the flat encoding saves)."""
-    return len(snapshot.payload())
-
-
-# ----------------------------------------------------------------------
-# Fragment-resident snapshots
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FragmentSnapshot:
-    """One fragment, frozen into its broadcastable form.
-
-    This is what a *fragment-resident* worker receives instead of the
-    whole graph: the fragment's induced local subgraph (interior plus
-    replicated border, flat-array encoded) and the metadata the local
-    kernels need — the interior set and the border→owner annotations.
-    Broadcasting k of these costs O(|G| + borders) total where the
-    monolithic model cost O(k·|G|).
-    """
-
-    arrays: dict[str, Any] = field(repr=False)
-    fragment_index: int
-    interior: tuple[str, ...]
-    border_owner: tuple[tuple[str, int], ...]
-    version: int  # source graph version at capture time
-    indexed: bool
-    num_nodes: int
-    num_edges: int
-
-    def restore(self) -> Fragment:
-        """Rebuild the fragment (attaching a local index when the
-        coordinator's fragments ran indexed) — once per worker."""
-        graph = graph_from_arrays(self.arrays)
-        if self.indexed:
-            attach_index(graph)
-        return Fragment(
-            self.fragment_index,
-            graph,
-            set(self.interior),
-            dict(self.border_owner),
-        )
-
-    def payload(self) -> bytes:
-        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def snapshot_fragments(
-    fragmentation: Fragmentation, *, version: int | None = None
-) -> list[FragmentSnapshot]:
-    """Capture every fragment of a partition for per-worker broadcast.
-
-    ``indexed`` mirrors the fragmentation's own index decision, so each
-    worker rebuilds exactly the local index the coordinator's fragments
-    carry.  ``version`` defaults to the partition's recorded source
-    version.
-    """
-    captured = fragmentation.source_version if version is None else version
-    return [
-        FragmentSnapshot(
-            arrays=graph_to_arrays(fragment.graph),
-            fragment_index=fragment.index,
-            interior=tuple(sorted(fragment.interior)),
-            border_owner=tuple(sorted(fragment.border_owner.items())),
-            version=captured,
-            indexed=fragmentation.indexed,
-            num_nodes=fragment.graph.num_nodes,
-            num_edges=fragment.graph.num_edges,
-        )
-        for fragment in fragmentation.fragments
-    ]
-
-
 __all__ = [
-    "FragmentSnapshot",
     "GraphSnapshot",
-    "snapshot_fragments",
     "snapshot_graph",
-    "snapshot_size",
 ]

@@ -10,16 +10,6 @@ from repro.graph.generators import (
     star_graph,
     undirected_edge_set,
 )
-from repro.graph.fragments import (
-    Fragment,
-    FragmentedGraph,
-    Fragmentation,
-    RoutedUpdate,
-    fragment_stats,
-    get_fragments,
-    partition_graph,
-    route_update,
-)
 from repro.graph.graph import ID_ATTRIBUTE, Edge, Graph, Node, Value
 from repro.graph.io import (
     UpdateLogWriter,
@@ -39,21 +29,13 @@ from repro.graph.update import GraphUpdate, validate_update
 __all__ = [
     "ID_ATTRIBUTE",
     "Edge",
-    "Fragment",
-    "FragmentedGraph",
-    "Fragmentation",
     "Graph",
     "GraphBuilder",
     "GraphUpdate",
     "Node",
     "Relation",
-    "RoutedUpdate",
     "UpdateLogWriter",
     "Value",
-    "fragment_stats",
-    "get_fragments",
-    "partition_graph",
-    "route_update",
     "complete_graph",
     "cycle_graph",
     "graph_from_dict",

@@ -17,14 +17,6 @@ from repro.matching.homomorphism import (
     is_homomorphism,
     seed_find_homomorphisms,
 )
-from repro.matching.locality import (
-    ball_closes_locally,
-    ball_levels,
-    pattern_distances,
-    pattern_radius,
-    pivot_radius,
-    split_local_pivots,
-)
 from repro.matching.isomorphism import (
     count_injective_matches,
     find_injective_matches,
@@ -34,8 +26,6 @@ from repro.matching.plan import execute_over_pools
 
 __all__ = [
     "Match",
-    "ball_closes_locally",
-    "ball_levels",
     "candidate_sets",
     "count_injective_matches",
     "count_matches",
@@ -47,10 +37,6 @@ __all__ = [
     "has_match",
     "is_homomorphism",
     "order_for_sizes",
-    "pattern_distances",
-    "pattern_radius",
-    "pivot_radius",
     "seed_find_homomorphisms",
-    "split_local_pivots",
     "variable_order",
 ]

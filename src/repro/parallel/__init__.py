@@ -10,15 +10,14 @@ embarrassingly parallel once the match space is sharded:
   variable into k disjoint shards; the matches of a pattern are exactly
   the disjoint union over shards of matches with the pivot pinned into
   the shard, so sharded validation is **exact**, not approximate;
-* :mod:`repro.parallel.validate` runs Σ on one of three backends —
+* :mod:`repro.parallel.validate` runs Σ on one of two backends —
   ``serial`` (one grouped Σ scan in-process, the deterministic
-  reference), ``engine`` (shards on the warm persistent pool of
-  :mod:`repro.engine`), or ``fragment`` (fragment-local shards over a
-  :mod:`repro.graph.fragments` partition) — merges violations
+  reference) or ``engine`` (shards on the warm persistent pool of
+  :mod:`repro.engine`) — merges violations
   deterministically, and reports per-shard work counters so the
   benchmark can separate algorithmic balance from pool overhead.
 
-Every backend returns the identical report (asserted by
+Both backends return the identical report (asserted by
 ``tests/parallel/test_backend_determinism.py``); the perf gate holds
 the warm engine's speedups on the committed reference workload.
 """

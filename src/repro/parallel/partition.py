@@ -50,8 +50,7 @@ class ShardPlan:
 
 def plan_pivot(pattern: Pattern, graph: Graph) -> tuple[str, list[str]]:
     """The sharding pivot and its full candidate pool, in ascending id
-    order — the single definition every shard planner uses (round-robin
-    shards here, ownership partitions in the fragment planner).
+    order — the pool :func:`plan_shards` deals round-robin.
 
     The pools are the matcher's own
     (:func:`~repro.matching.plan.compile_sigma`, cached per graph

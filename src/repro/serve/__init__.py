@@ -5,9 +5,8 @@ The streaming layer made violation maintenance continuous
 deltas); this package makes it a **service**: a long-running, stdlib-only
 asyncio server that accepts :class:`~repro.graph.update.GraphUpdate`
 batches over a socket, applies them atomically through the durable
-update log and the ledger (any backend — serial, engine-pooled, or
-fragment-routed), and *pushes* each batch's violation delta to every
-subscribed client the moment it exists.
+update log and the ledger, and *pushes* each batch's violation delta to
+every subscribed client the moment it exists.
 
 The architecture is the coordinator-entity pattern: the ledger is the
 coordinator (one writer applying updates), subscribers are the entities

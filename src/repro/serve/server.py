@@ -3,9 +3,8 @@
 :class:`ViolationServer` is the coordinator of the coordinator-entity
 pattern the streaming layer was built toward: one
 :class:`~repro.streaming.ledger.ViolationLedger` applies every update
-batch (any backend — serial, engine-pooled, or fragment-routed), and a
-dispatcher fans the exact per-batch violation delta out to every
-subscribed connection.  Subscribers are the entities: they attach with
+batch, and a dispatcher fans the exact per-batch violation delta out to
+every subscribed connection.  Subscribers are the entities: they attach with
 a server-side :class:`~repro.serve.filters.SubscriptionFilter`, receive
 a **bootstrap snapshot** of the current violation set on attach (late
 attachers are first-class), and from then on get one ``delta`` frame
@@ -39,8 +38,8 @@ With telemetry enabled every applied batch runs under a
 :class:`~repro.telemetry.trace.TraceContext` — adopted from the update
 frame's optional ``trace`` field when the client sent one, freshly
 minted otherwise — so the batch's validate / log-append / ledger
-refresh / worker shards / push deliveries assemble into one causal
-tree (docs/telemetry.md).
+refresh / push deliveries assemble into one causal tree
+(docs/telemetry.md).
 """
 
 from __future__ import annotations
@@ -250,8 +249,6 @@ class ViolationServer:
         the durable JSONL update log (``docs/update-log.md``); every
         accepted batch is appended before it is applied, so a restarted
         server resumes exactly.  ``None`` runs ephemeral (no durability).
-    backend / workers / fragment_mode:
-        forwarded to the :class:`~repro.streaming.ledger.ViolationLedger`.
     checkpoint_every:
         forwarded to the log writer (a checkpoint every k batches keeps
         recovery O(tail)); a clean :meth:`stop` also checkpoints.
@@ -273,9 +270,6 @@ class ViolationServer:
         sigma: Sequence[GED],
         *,
         log_path: str | Path | None = None,
-        backend: str = "serial",
-        workers: int | None = None,
-        fragment_mode: str = "hash",
         checkpoint_every: int | None = None,
         log_seq: int | None = None,
         queue_size: int = DEFAULT_QUEUE_SIZE,
@@ -295,9 +289,7 @@ class ViolationServer:
             # record was torn is as empty as a new one.
             if self._log_writer.empty:
                 self._log_writer.write_base(graph)
-        self.ledger = ViolationLedger(
-            graph, sigma, backend=backend, workers=workers, fragment_mode=fragment_mode
-        )
+        self.ledger = ViolationLedger(graph, sigma)
         self.ledger.bootstrap()
         if self._log_writer is not None:
             self.ledger.seq = self._log_writer.seq
@@ -385,8 +377,8 @@ class ViolationServer:
 
     async def stop(self, *, checkpoint: bool = True) -> None:
         """Graceful shutdown: ``bye`` every subscriber, close the
-        listener, optionally checkpoint the log (making the next boot's
-        recovery O(1)), and release the ledger's worker pool.
+        listener, and optionally checkpoint the log (making the next
+        boot's recovery O(1)).
 
         ``checkpoint=False`` skips the shutdown checkpoint — the
         crash-simulation mode the resume tests use, leaving recovery to
@@ -409,7 +401,6 @@ class ViolationServer:
                     self._log_writer.checkpoint(self.graph)
             self._log_writer.close()
             self._log_writer = None
-        self.ledger.close()
         self._stopped.set()
 
     async def __aenter__(self) -> "ViolationServer":
@@ -675,7 +666,6 @@ class ViolationServer:
             "status": "ok",
             "seq": self.seq,
             "epoch": self.epoch,
-            "backend": self.ledger.backend,
             "subscribers": len(self._subscribers),
             "violations": len(self.ledger),
             "batches_applied": self._batches_applied,
@@ -822,7 +812,7 @@ class ViolationServer:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ViolationServer(seq={self.seq}, epoch={self.epoch}, "
-            f"subscribers={len(self._subscribers)}, backend={self.ledger.backend!r})"
+            f"subscribers={len(self._subscribers)})"
         )
 
 

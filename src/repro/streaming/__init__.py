@@ -18,16 +18,7 @@ changing data:
   a read attribute changed, added edges of a read label), Σ grouped by
   skeleton, each pin set run once per group and enumerated along the
   pattern's own edges (so the search stays in its neighborhood),
-  quick-rejected through the index's 1-hop neighborhood signatures;
-* :mod:`repro.streaming.parallel` — :class:`EngineDeltaExecutor`, which
-  shards changed-node pivots over a warm :mod:`repro.engine` pool whose
-  workers *replicate the update stream* (periodically re-snapshotted)
-  instead of being re-broadcast per batch;
-* :mod:`repro.streaming.fragments` — :class:`FragmentDeltaRouter`, which
-  maintains a :class:`~repro.graph.fragments.FragmentedGraph` mirror and
-  routes each batch to its owning fragments, so the per-fragment
-  replication log carries only that fragment's slice and the introduced
-  scan runs fragment-locally (ball-completeness, with cut escalation).
+  quick-rejected through the index's 1-hop neighborhood signatures.
 
 The surrounding plumbing lives where it layers naturally: deletion-aware
 batches and up-front validation in :mod:`repro.graph.update`, the
@@ -41,7 +32,7 @@ Typical use::
 
     from repro.streaming import ViolationLedger
 
-    ledger = ViolationLedger(graph, sigma, backend="engine", workers=4)
+    ledger = ViolationLedger(graph, sigma)
     ledger.bootstrap()                   # full validation, once
     for update in stream:                # then work ∝ each batch's neighborhood
         delta = ledger.refresh(update)
@@ -49,18 +40,14 @@ Typical use::
 """
 
 from repro.streaming.delta import delta_violations
-from repro.streaming.fragments import FragmentDeltaRouter
 from repro.streaming.ledger import (
     StreamDelta,
     ViolationLedger,
     canonical_report,
     violation_to_dict,
 )
-from repro.streaming.parallel import EngineDeltaExecutor
 
 __all__ = [
-    "EngineDeltaExecutor",
-    "FragmentDeltaRouter",
     "StreamDelta",
     "ViolationLedger",
     "canonical_report",

@@ -170,15 +170,6 @@ class Footprint:
     recheck_nodes: set[str]
     recheck_edges: list[Edge]
 
-    def pivots(self) -> set[str]:
-        """The node pins plus the edge pins' endpoints: a node-only pin
-        set that finds every violation the footprint does."""
-        pivots = set(self.node_pins)
-        for source, _, target in self.edge_pins:
-            pivots.add(source)
-            pivots.add(target)
-        return pivots
-
 
 def batch_footprint(update: GraphUpdate, reads: SigmaReads) -> Footprint:
     """The footprint of ``update`` under Σ's read set ``reads``."""

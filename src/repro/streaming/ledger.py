@@ -30,17 +30,12 @@ once per ledger):
   attribute changed at one of its nodes), so the two passes agree.
 
 The :mod:`~repro.streaming.delta` module docstring gives the argument
-that the footprint loses nothing.  The engine and fragment backends
-take the node pins plus the edge pins' endpoints as their node pins —
-every match through an edge pin meets both endpoints, so they find
-every violation the serial kernel finds — and keep their worker
-protocol.
+that the footprint loses nothing.
 
 The result is an invariant the property tests assert byte-for-byte:
 after any stream of batches, :meth:`violations` equals a from-scratch
 :func:`~repro.reasoning.validation.find_violations` on the final graph
-(canonically ordered), with or without an index attached, on the serial
-and engine-pooled delta paths alike.
+(canonically ordered), with or without an index attached.
 """
 
 from __future__ import annotations
@@ -68,8 +63,6 @@ from repro.streaming.delta import (
 
 #: Ledger key: (position of the dependency in Σ, the match embedding).
 LedgerKey = tuple[int, tuple[tuple[str, str], ...]]
-
-_BACKENDS = ("serial", "engine", "fragment")
 
 
 def violation_to_dict(violation: Violation) -> dict[str, Any]:
@@ -135,46 +128,16 @@ class ViolationLedger:
         :func:`~repro.indexing.maintenance.apply_update_indexed`).
     sigma:
         the dependency set; fixed for the ledger's lifetime.
-    backend:
-        ``"serial"`` runs the introduced-violation kernel in-process;
-        ``"engine"`` shards its pivots over a dedicated warm
-        :mod:`repro.engine` pool whose workers replicate each batch
-        instead of being re-broadcast (see
-        :class:`repro.streaming.parallel.EngineDeltaExecutor`);
-        ``"fragment"`` routes each batch to a fragmented mirror so the
-        per-fragment replication log carries only its slice, and runs
-        the introduced scan fragment-locally with cut escalation (see
-        :class:`repro.streaming.fragments.FragmentDeltaRouter`).
-    workers:
-        pool size for the engine backend, fragment count for the
-        fragment backend (``None`` = one per CPU).
-    fragment_mode:
-        partitioner for the fragment backend (``"hash"`` / ``"greedy"``).
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        sigma: Sequence[GED],
-        *,
-        backend: str = "serial",
-        workers: int | None = None,
-        fragment_mode: str = "hash",
-    ):
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
+    def __init__(self, graph: Graph, sigma: Sequence[GED]):
         self.graph = graph
         self.sigma = list(sigma)
-        self.backend = backend
-        self.workers = workers
-        self.fragment_mode = fragment_mode
         self.seq = 0
         self._entries: dict[LedgerKey, Violation] = {}
         self._by_node: dict[str, set[LedgerKey]] = {}
         self._position = {id(ged): index for index, ged in enumerate(self.sigma)}
         self._reads = sigma_reads(self.sigma)
-        self._executor = None  # created lazily on the first engine refresh
-        self._router = None  # created lazily on the first fragment refresh
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -242,20 +205,6 @@ class ViolationLedger:
         """Apply one batch and return the exact violation delta."""
         started = time.perf_counter()
         footprint = batch_footprint(update, self._reads)
-        if self.backend == "engine" and self._executor is None:
-            from repro.streaming.parallel import EngineDeltaExecutor
-
-            # The executor snapshots the *pre-batch* graph; every batch
-            # from here on is replicated to its workers.
-            self._executor = EngineDeltaExecutor(self.graph, self.sigma, self.workers)
-        if self.backend == "fragment" and self._router is None:
-            from repro.streaming.fragments import FragmentDeltaRouter
-
-            # The router partitions the *pre-batch* graph; every batch
-            # from here on is routed to its fragments as slices.
-            self._router = FragmentDeltaRouter(
-                self.graph, self.sigma, self.workers, self.fragment_mode
-            )
         from repro.indexing.maintenance import apply_update_indexed
 
         with _spans.span("stream.apply"):
@@ -280,23 +229,16 @@ class ViolationLedger:
         # -- introduce: every post-batch violation meeting the footprint --
         with _spans.span(
             "stream.introduce",
-            backend=self.backend,
             pins=len(footprint.node_pins),
             edge_pins=len(footprint.edge_pins),
         ):
-            if self._executor is not None:
-                found = self._executor.refresh(update, footprint.pivots())
-            elif self._router is not None:
-                found = self._router.refresh(self.graph, update, footprint.pivots())
-            else:
-                found = delta_violations(
-                    self.graph, self.sigma, footprint.node_pins, footprint.edge_pins
-                )
-        # Canonical (dep position, embedding) order: the serial kernel
-        # yields its runs' enumeration order (group, then pinned
-        # variable or edge, then executor order) and the engine merge
-        # is sorted — sorting here makes the emitted delta
-        # backend-independent.
+            found = delta_violations(
+                self.graph, self.sigma, footprint.node_pins, footprint.edge_pins
+            )
+        # Canonical (dep position, embedding) order: the kernel yields
+        # its runs' enumeration order (group, then pinned variable or
+        # edge, then executor order); sorting here makes the emitted
+        # delta independent of it.
         for dep_index, violation in sorted(found, key=lambda f: (f[0], f[1].match)):
             key = (dep_index, violation.match)
             if key not in self._entries:
@@ -316,20 +258,6 @@ class ViolationLedger:
                 "stream.batch_seconds", delta.wall_seconds, _metrics.SECONDS_BOUNDS
             )
         return delta
-
-    def close(self) -> None:
-        """Shut down the engine executor's worker pool, if one exists
-        (the fragment router is in-process and just dropped)."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-        self._router = None
-
-    def __enter__(self) -> "ViolationLedger":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Reads
@@ -351,21 +279,6 @@ class ViolationLedger:
         (violations reference Σ's instances by identity)."""
         return self._position[id(ged)]
 
-    def transport_stats(self) -> dict[str, int]:
-        """Routing/escalation totals over the ledger's lifetime.
-
-        Non-zero only on the fragment backend (the router computes
-        them); other backends report zeros so the CLI summary line has a
-        stable shape.
-        """
-        if self._router is not None:
-            return {
-                "routed_ops": self._router.ops_routed,
-                "full_ops": self._router.ops_full,
-                "escalated_nodes": self._router.escalated_nodes,
-            }
-        return {"routed_ops": 0, "full_ops": 0, "escalated_nodes": 0}
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -375,10 +288,7 @@ class ViolationLedger:
         return not self._entries
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ViolationLedger(seq={self.seq}, violations={len(self._entries)}, "
-            f"backend={self.backend!r})"
-        )
+        return f"ViolationLedger(seq={self.seq}, violations={len(self._entries)})"
 
 
 __all__ = [

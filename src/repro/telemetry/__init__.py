@@ -17,16 +17,16 @@ The observability substrate of the layered runtime (docs/telemetry.md):
 * :mod:`repro.telemetry.slowlog` — ring-buffered observed
   match-plan captures (:func:`~repro.matching.plan.explain_pools`) for
   shard executions over a configurable latency threshold.
-* cross-process aggregation — engine/fragment workers run tasks under
+* cross-process aggregation — engine workers run tasks under
   :func:`collecting` and piggyback plain-dict snapshots on task
   results (worker spans and slow plans ride the same snapshot); the
   coordinator folds them in with :func:`merge_snapshot` and
   :func:`absorb_remote`.
 * :mod:`repro.telemetry.prometheus` — text-exposition formatting,
   mounted live on the serve layer's ``/metrics`` route.
-* :mod:`repro.telemetry.report` — derived headline stats (escalated-
-  pivot share, warm-pool hit rate, border-replica share), the
-  ``cli stats`` text dump, and the ``cli trace`` tree rendering.
+* :mod:`repro.telemetry.report` — derived headline stats (warm-pool
+  hit rate, index hit rate, LPT imbalance), the ``cli stats`` text
+  dump, and the ``cli trace`` tree rendering.
 
 Stdlib-only by design: every other ``repro`` layer imports this one,
 so it imports none of them.

@@ -14,7 +14,7 @@ Design constraints (docs/telemetry.md):
 * **Pickle-friendly snapshots.**  :meth:`MetricsRegistry.snapshot`
   returns plain dicts/lists/numbers — the same shape
   :class:`~repro.engine.snapshot.GraphSnapshot` uses to cross the
-  process boundary — so engine/fragment workers can piggyback a
+  process boundary — so engine workers can piggyback a
   snapshot on each task result and the coordinator merges it with
   :meth:`MetricsRegistry.merge`.
 * **Deterministic merge semantics.**  Counters and histogram buckets

@@ -1,10 +1,8 @@
 """Human-facing views of a metrics snapshot: derived stats and text.
 
 :func:`derived_stats` computes the headline ratios the raw counters
-imply — escalated-pivot share, warm-pool hit rate, border-replica
-share, per-fragment frames expanded — the numbers ``cli stats`` leads
-with, and the partition-quality signals an adaptive repartitioning
-would read.
+imply — warm-pool hit rate, index hit rate, LPT imbalance, push
+latency — the numbers ``cli stats`` leads with.
 :func:`format_text` renders the derived block plus the full snapshot as
 an aligned text dump.  :func:`format_trace` renders one assembled trace
 (see :func:`repro.telemetry.trace.assemble_traces`) as an indented tree
@@ -17,8 +15,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.telemetry.trace import TraceNode, ref_process
-
-_FRAGMENT_FRAMES_PREFIX = "fragment.frames_expanded."
 
 
 def histogram_quantile(histogram: dict[str, Any] | None, q: float) -> float | None:
@@ -56,30 +52,15 @@ def derived_stats(snapshot: dict[str, Any]) -> dict[str, Any]:
     gauges = snapshot.get("gauges", {})
     histograms = snapshot.get("histograms", {})
 
-    local = counters.get("fragment.pivots.local", 0)
-    escalated = counters.get("fragment.pivots.escalated", 0)
-    pivots = local + escalated
-    escalated_share = (escalated / pivots) if pivots else None
-
     warm = counters.get("engine.pool.warm_hits", 0)
     builds = counters.get("engine.pool.cold_builds", 0)
     lookups = warm + builds
     warm_rate = (warm / lookups) if lookups else None
 
-    per_fragment = {
-        name[len(_FRAGMENT_FRAMES_PREFIX) :]: value
-        for name, value in counters.items()
-        if name.startswith(_FRAGMENT_FRAMES_PREFIX)
-    }
-
     index_hits = counters.get("index.hits", 0)
     index_misses = counters.get("index.misses", 0) + counters.get("index.stale", 0)
     index_lookups = index_hits + index_misses
     index_rate = (index_hits / index_lookups) if index_lookups else None
-
-    routed = counters.get("fragment.route.ops_routed", 0)
-    full = counters.get("fragment.route.ops_full", 0)
-    routing_saved = (1.0 - routed / full) if full else None
 
     filter_hits = counters.get("serve.filter.hits", 0)
     filter_misses = counters.get("serve.filter.misses", 0)
@@ -88,13 +69,9 @@ def derived_stats(snapshot: dict[str, Any]) -> dict[str, Any]:
     push = histograms.get("serve.push_seconds")
 
     return {
-        "escalated_pivot_share": escalated_share,
         "warm_pool_hit_rate": warm_rate,
-        "border_replica_share": gauges.get("fragment.border_replica_share"),
-        "per_fragment_frames_expanded": per_fragment,
         "frames_expanded": counters.get("plan.frames_expanded", 0),
         "index_hit_rate": index_rate,
-        "routing_ops_saved": routing_saved,
         "lpt_imbalance": gauges.get("engine.lpt_imbalance"),
         "push_p50_seconds": histogram_quantile(push, 0.50),
         "push_p99_seconds": histogram_quantile(push, 0.99),
@@ -129,23 +106,13 @@ def format_text(snapshot: dict[str, Any]) -> str:
     """Render the derived block plus the raw snapshot as text."""
     derived = derived_stats(snapshot)
     lines = ["== derived =="]
-    lines.append(f"escalated-pivot share:   {_ratio(derived['escalated_pivot_share'])}")
     lines.append(f"warm-pool hit rate:      {_ratio(derived['warm_pool_hit_rate'])}")
-    lines.append(f"border-replica share:    {_ratio(derived['border_replica_share'])}")
     lines.append(f"index hit rate:          {_ratio(derived['index_hit_rate'])}")
-    lines.append(f"routing ops saved:       {_ratio(derived['routing_ops_saved'])}")
     lines.append(f"LPT imbalance:           {_number(derived['lpt_imbalance'])}")
     lines.append(f"frames expanded (total): {_number(derived['frames_expanded'])}")
     lines.append(f"push latency p50/p99:    {_seconds(derived['push_p50_seconds'])} / {_seconds(derived['push_p99_seconds'])}")
     lines.append(f"serve filter hit rate:   {_ratio(derived['serve_filter_hit_rate'])}")
     lines.append(f"serve queue depth p99:   {_number(derived['serve_queue_depth_p99'])}")
-    lines.append("per-fragment frames expanded:")
-    per_fragment = derived["per_fragment_frames_expanded"]
-    if per_fragment:
-        for key in sorted(per_fragment):
-            lines.append(f"  {key}: {_number(per_fragment[key])}")
-    else:
-        lines.append("  n/a")
 
     counters = snapshot.get("counters", {})
     lines.append("")

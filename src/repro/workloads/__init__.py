@@ -1,7 +1,6 @@
 """Synthetic workload generators (stand-ins for Yago3/DBPedia/social data)."""
 
 from repro.workloads.churn import ChurnStream, churn_stream, social_churn_stream
-from repro.workloads.clustered import clustered_workload
 from repro.workloads.kb import PlantedErrors, synthetic_knowledge_base
 from repro.workloads.overlapping import overlapping_rule_set, overlapping_workload
 from repro.workloads.random_graphs import bounded_rule_set, validation_workload
@@ -13,7 +12,6 @@ __all__ = [
     "SpamGroundTruth",
     "bounded_rule_set",
     "churn_stream",
-    "clustered_workload",
     "overlapping_rule_set",
     "overlapping_workload",
     "social_churn_stream",

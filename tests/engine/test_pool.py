@@ -1,5 +1,10 @@
 """Pool lifecycle: one broadcast, warm reuse, version-keyed retirement."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.engine import (
@@ -175,3 +180,45 @@ class TestPoolAdapters:
         assert suggest_repairs_batch(graph, violations, workers=1) == [
             suggest_repairs(graph, v) for v in violations
         ]
+
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+#: Validate on the engine, close every pool, exit.  An unjoined pool
+#: let the executor's exit hook write to a wake-up pipe its manager
+#: thread was closing: ``Exception ignored ... OSError: [Errno 9]``.
+CLOSE_THEN_EXIT = """
+from repro.engine import shutdown_pools
+from repro.parallel import parallel_find_violations
+from repro.workloads import bounded_rule_set, validation_workload
+
+graph = validation_workload(3000, rng=3)
+parallel_find_violations(graph, bounded_rule_set(), workers=2, backend="engine")
+shutdown_pools()
+"""
+
+
+class TestPoolClose:
+    def test_close_joins_the_workers(self):
+        graph = validation_workload(80, rng=5)
+        pool = get_pool(graph, 2)
+        pool.count_patterns([Pattern({"x": "user"})])
+        workers = list(pool._executor._processes.values())
+        release_pool(graph)
+        assert workers and not any(worker.is_alive() for worker in workers)
+
+    def test_exit_after_closing_the_pools_is_quiet(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        for _ in range(3):
+            result = subprocess.run(
+                [sys.executable, "-c", CLOSE_THEN_EXIT],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            assert "Exception ignored" not in result.stderr, result.stderr

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import snapshot_graph, snapshot_size
+from repro.engine import snapshot_graph
 from repro.graph.graph import Graph
 from repro.graph.io import UpdateLogWriter, graph_from_arrays, graph_to_arrays, scan_update_log
 from repro.indexing import attach_index, detach_index, get_index
@@ -380,4 +380,4 @@ class TestSnapshot:
         assert snapshot.version == graph.version
         assert snapshot.num_nodes == graph.num_nodes
         assert snapshot.num_edges == graph.num_edges
-        assert snapshot_size(snapshot) > 0
+        assert len(snapshot.payload()) > 0

@@ -1,9 +1,9 @@
-"""Cross-backend determinism: every backend, the same ordered report.
+"""Cross-backend determinism: both backends, the same ordered report.
 
 The satellite property of the parallel layer — the serial (one
-grouped Σ scan), engine (warm pool) and fragment backends return
-*identical, identically ordered* violation lists, with and without an
-attached index — on both workload families.
+grouped Σ scan) and engine (warm pool) backends return *identical,
+identically ordered* violation lists, with and without an attached
+index — on both workload families.
 """
 
 import pytest
@@ -24,7 +24,7 @@ from repro.workloads import (
     validation_workload,
 )
 
-BACKENDS = ("serial", "engine", "fragment")
+BACKENDS = ("serial", "engine")
 
 
 @pytest.fixture(autouse=True)

@@ -38,18 +38,6 @@ class TestGkeySharding:
             assert {v.match for v in report.violations} == reference
         shutdown_pools()
 
-    def test_fragment_backend_on_gkeys(self):
-        # The copy x' is unreachable from the pivot, so no fragment can
-        # decide a pivot locally: every match comes from escalation.
-        g = duplicate_albums()
-        rules = [title_key()]
-        serial = parallel_find_violations(g, rules, workers=3, backend="serial")
-        fragmented = parallel_find_violations(g, rules, workers=3, backend="fragment")
-        assert serial.violations
-        assert [v.match for v in fragmented.violations] == [
-            v.match for v in serial.violations
-        ]
-
     def test_clean_after_dedup(self):
         g = duplicate_albums()
         from repro.quality.entity_resolution import resolve_entities

@@ -14,7 +14,6 @@ import struct
 
 import pytest
 
-from repro.graph.update import GraphUpdate
 from repro.serve import ServeClient, ViolationServer
 from repro.telemetry import metrics
 from repro.workloads import churn_stream
@@ -79,7 +78,7 @@ class TestHealthz:
                 assert payload["status"] == "ok"
                 assert payload["seq"] == server.seq
                 assert payload["epoch"] == server.epoch
-                assert payload["backend"] == "serial"
+                assert "backend" not in payload
                 assert payload["subscribers"] == 0
                 assert payload["violations"] == len(server.ledger)
                 assert "queue_depth_p99" in payload

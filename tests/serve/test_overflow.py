@@ -63,7 +63,6 @@ def test_overflow_emits_one_resync_then_rebased_gap_free_stream():
         subscriber.alive = False
         if subscriber.task:
             subscriber.task.cancel()
-        server.ledger.close()
         return bytes(wire.buffer), server.seq
 
     wire_bytes, final_seq = asyncio.run(scenario())
@@ -109,7 +108,6 @@ def test_slow_but_not_overflowing_subscriber_sees_everything():
         subscriber.alive = False
         if subscriber.task:
             subscriber.task.cancel()
-        server.ledger.close()
         return bytes(wire.buffer)
 
     frames = decode_frames(asyncio.run(scenario()), LINE_DELIMITED)
@@ -137,7 +135,6 @@ def test_close_sentinel_survives_overflow():
         wire.gate.set()
         if subscriber.task:
             await asyncio.wait_for(subscriber.task, timeout=5)
-        server.ledger.close()
         return bytes(wire.buffer)
 
     frames = decode_frames(asyncio.run(scenario()), LINE_DELIMITED)

@@ -171,12 +171,11 @@ def test_start_and_resume_keep_no_candidate_pools(tmp_path):
         asyncio.run(server.stop(checkpoint=False))
 
 
-@pytest.mark.parametrize("backend", ["engine", "fragment"])
-def test_recovery_reads_the_log_once_and_forks_no_worker(tmp_path, monkeypatch, backend):
+def test_recovery_reads_the_log_once_and_forks_no_worker(tmp_path, monkeypatch):
     """A recovery hands the replay's last seq to its log writer, which
-    then does not read the file again, and starts no worker process:
-    the engine and fragment pools start on the first batch, so no child
-    inherits the collector that ``cli serve`` pauses for recovery."""
+    then does not read the file again, and starts no worker process,
+    so no child inherits the collector that ``cli serve`` pauses for
+    recovery."""
     import multiprocessing
 
     stream = stream_fixture()
@@ -191,7 +190,7 @@ def test_recovery_reads_the_log_once_and_forks_no_worker(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(UpdateLogWriter, "_resume_seq", staticmethod(no_second_read))
     children = set(multiprocessing.active_children())
-    server = ViolationServer.from_log(log, stream.sigma, backend=backend, workers=2)
+    server = ViolationServer.from_log(log, stream.sigma)
     try:
         assert server.seq == CRASH_AFTER
         assert set(multiprocessing.active_children()) <= children

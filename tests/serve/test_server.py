@@ -180,31 +180,6 @@ class TestSessionBasics:
 
         run(scenario())
 
-    @pytest.mark.parametrize("backend", ["serial", "fragment"])
-    def test_backends_serve_identical_streams(self, backend):
-        """The wire stream is backend-independent (the fragment-routed
-        ledger pushes byte-identical frames to the serial one)."""
-        stream = stream_fixture()
-        graph = stream.base.copy()
-
-        async def scenario():
-            server = ViolationServer(
-                graph, stream.sigma, backend=backend, workers=2
-            )
-            async with server:
-                sub = await ServeClient.connect("127.0.0.1", server.port)
-                frames = [await sub.subscribe()]
-                for update in stream.updates:
-                    await sub.send_update(update)
-                    frames.append(await sub.next_event(timeout=5))
-                await sub.close()
-            return frames
-
-        frames = run(scenario())
-        if not hasattr(TestSessionBasics, "_reference_frames"):
-            TestSessionBasics._reference_frames = frames
-        assert frames == TestSessionBasics._reference_frames
-
 
 class TestErrorPaths:
     def test_garbage_first_byte_closes_connection(self):

@@ -1,15 +1,14 @@
 """End-to-end distributed tracing through a real `cli serve` process.
 
 The acceptance scenario: one published batch produces one assembled
-causal tree whose spans were recorded in at least three different
-processes — the server loop (``serve.batch`` and the ``serve.push``
-delivery), and two engine pool workers (``stream.shard``) — all linked
-by the ``TraceContext`` that rode the task payloads and came home on
-the ``collect=True`` snapshot channel.
+causal tree under the trace id the ack carries — validate, log append,
+graph apply, introduced scan and push delivery — and a client that
+sends its own ``TraceContext`` over the wire finds the server's tree
+under that id.
 
-A serial-backend batch with a checkpoint shows the batch's own layers
-as children of ``serve.batch``, the graph apply and the checkpoint
-write included; the shutdown checkpoint has a span outside the batch.
+A batch with a checkpoint shows the batch's own layers as children of
+``serve.batch``, the graph apply and the checkpoint write included;
+the shutdown checkpoint has a span outside the batch.
 
 Plus the incremental-flush fix: the exported NDJSON must hold the
 batch's spans *before* the server exits, so a SIGKILLed server leaves
@@ -112,21 +111,19 @@ def trace_records(path: pathlib.Path) -> list[dict]:
 
 
 def two_node_update() -> GraphUpdate:
-    # Two added nodes -> two introduced-scan shards -> two pool workers.
     return GraphUpdate(
         nodes=[("p2", "person", {"age": 30}), ("p3", "person", {"age": 0})]
     )
 
 
 class TestAssembledTraceAcrossProcesses:
-    def test_one_batch_one_tree_three_process_tags(self, fixture_files, tmp_path):
+    def test_one_batch_one_tree_under_the_acked_trace_id(self, fixture_files, tmp_path):
         graph_path, rules_path, log_path = fixture_files
         trace_path = tmp_path / "trace.ndjson"
         proc, listening = start_serve(
             [
                 "--log", str(log_path), "--rules", str(rules_path),
                 "--graph", str(graph_path),
-                "--backend", "engine", "--workers", "2",
                 "--telemetry", f"ndjson:{trace_path}",
                 "--max-batches", "1",
             ]
@@ -154,23 +151,16 @@ class TestAssembledTraceAcrossProcesses:
             names.add(node.name)
             if node.ref:
                 processes.add(ref_process(node.ref))
-        # the serve pipeline children, in one tree
+        # the serve pipeline, in one tree
         assert {
             "serve.validate",
             "serve.log_append",
+            "stream.apply",
             "stream.introduce",
-            "stream.shard",
             "serve.push",
         } <= names
-        # spans recorded in >= 3 distinct processes: the server loop
-        # plus the two pool workers that ran the introduced scan
-        assert len(processes) >= 3, processes
-        shard_tags = {
-            ref_process(node.ref)
-            for _, node in root.walk()
-            if node.name == "stream.shard"
-        }
-        assert ref_process(root.ref) not in shard_tags
+        # the server applies the batch in-process: one process tag
+        assert processes == {ref_process(root.ref)}
 
     def test_ack_trace_id_matches_client_supplied_context(self, fixture_files, tmp_path):
         # A client that is itself traced propagates its context over
@@ -213,7 +203,7 @@ class TestAssembledTraceAcrossProcesses:
 
 class TestBatchSpanTree:
     def test_apply_and_checkpoint_spans_under_the_batch(self, fixture_files, tmp_path):
-        # Serial backend, a checkpoint after every batch: the graph
+        # A checkpoint after every batch: the graph
         # apply (inside the ledger refresh) and the checkpoint write
         # each get their own span under ``serve.batch``.
         graph_path, rules_path, log_path = fixture_files
@@ -222,7 +212,6 @@ class TestBatchSpanTree:
             [
                 "--log", str(log_path), "--rules", str(rules_path),
                 "--graph", str(graph_path),
-                "--backend", "serial",
                 "--checkpoint-every", "1",
                 "--telemetry", f"ndjson:{trace_path}",
                 "--max-batches", "1",
@@ -250,7 +239,7 @@ class TestBatchSpanTree:
         }
 
     def test_shutdown_checkpoint_has_its_own_span(self, fixture_files, tmp_path):
-        # Serial backend, no periodic checkpoint: the one checkpoint is
+        # No periodic checkpoint: the one checkpoint is
         # the shutdown one after --max-batches, outside the batch tree.
         graph_path, rules_path, log_path = fixture_files
         trace_path = tmp_path / "trace.ndjson"
@@ -258,7 +247,6 @@ class TestBatchSpanTree:
             [
                 "--log", str(log_path), "--rules", str(rules_path),
                 "--graph", str(graph_path),
-                "--backend", "serial",
                 "--telemetry", f"ndjson:{trace_path}",
                 "--max-batches", "1",
             ]

@@ -107,8 +107,8 @@ class TestStreamCLI:
 
     def test_summary_matches_replay_and_documented_shape(self, stream_files, capsys):
         """The summary line agrees with `replay_update_log` on the final
-        state and carries the transport counters docs/update-log.md §2.3
-        documents (zeros off the fragment backend)."""
+        state and carries exactly the fields docs/update-log.md §2.3
+        documents."""
         from repro.graph.io import replay_update_log
 
         _, rules_path, log_path, final = stream_files
@@ -119,10 +119,7 @@ class TestStreamCLI:
         assert summary["violations"] == len(find_violations(replayed.graph, rules))
         assert summary["violations"] == final
         assert summary["batches"] == replayed.last_seq
-        assert (
-            summary["routed_ops"] == summary["full_ops"]
-            == summary["escalated_nodes"] == 0
-        )
+        assert set(summary) == {"type", "batches", "violations", "sample"}
 
     def test_missing_checkpoint_without_graph_is_usage_error(self, tmp_path, capsys):
         stream = churn_stream(n_nodes=30, batches=2, rng=1)

@@ -57,15 +57,15 @@ class TestGraphUpdate:
 
     def test_ledger_applies_the_batch(self):
         g = GraphBuilder().node("m", "a").build()
-        with ViolationLedger(g, []) as ledger:
-            ledger.bootstrap()
-            delta = ledger.refresh(
-                GraphUpdate(
-                    nodes=[("n", "b", {"A": 1})],
-                    edges=[("n", "r", "m")],
-                    attrs=[("m", "B", 2)],
-                )
+        ledger = ViolationLedger(g, [])
+        ledger.bootstrap()
+        delta = ledger.refresh(
+            GraphUpdate(
+                nodes=[("n", "b", {"A": 1})],
+                edges=[("n", "r", "m")],
+                attrs=[("m", "B", 2)],
             )
+        )
         assert g.has_node("n") and g.has_edge("n", "r", "m")
         assert g.node("m").get("B") == 2
         assert delta.touched == 2
@@ -152,22 +152,22 @@ class TestLedgerLifecycle:
             .edge("fin", "capital", "hel")
             .build()
         )
-        with ViolationLedger(g, [capital_rule()]) as ledger:
-            assert ledger.bootstrap() == []
-            # Break it.
-            broken = ledger.refresh(
-                GraphUpdate(nodes=[("spb", "city", {"name": "B"})],
-                            edges=[("fin", "capital", "spb")])
-            )
-            assert broken.introduced and not broken.retired
-            # A no-op update changes nothing.
-            assert ledger.refresh(GraphUpdate()).is_empty()
-            assert set(ledger.violations()) == set(broken.introduced)
-            # Fix it: renaming retires the stale violations.
-            fixed = ledger.refresh(GraphUpdate(attrs=[("spb", "name", "A")]))
-            assert fixed.introduced == []
-            assert set(fixed.retired) == set(broken.introduced)
-            assert ledger.clean
+        ledger = ViolationLedger(g, [capital_rule()])
+        assert ledger.bootstrap() == []
+        # Break it.
+        broken = ledger.refresh(
+            GraphUpdate(nodes=[("spb", "city", {"name": "B"})],
+                        edges=[("fin", "capital", "spb")])
+        )
+        assert broken.introduced and not broken.retired
+        # A no-op update changes nothing.
+        assert ledger.refresh(GraphUpdate()).is_empty()
+        assert set(ledger.violations()) == set(broken.introduced)
+        # Fix it: renaming retires the stale violations.
+        fixed = ledger.refresh(GraphUpdate(attrs=[("spb", "name", "A")]))
+        assert fixed.introduced == []
+        assert set(fixed.retired) == set(broken.introduced)
+        assert ledger.clean
 
 
 class TestPerBatchOracle:

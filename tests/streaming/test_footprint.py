@@ -140,7 +140,6 @@ class TestFootprint:
         assert footprint.edge_pins == [("n", "r", "m")]
         assert footprint.recheck_nodes == {"d", "k", "h"}
         assert footprint.recheck_edges == [("p", "r", "o")]
-        assert footprint.pivots() == {"n", "k", "h", "m"}
 
 
 def score_rule():

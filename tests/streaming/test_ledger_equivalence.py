@@ -3,14 +3,13 @@
 After any seeded stream of update batches — including deletions — the
 :class:`~repro.streaming.ViolationLedger` state must be byte-identical
 (canonically ordered, NDJSON-serialized) to a from-scratch
-``find_violations`` report on the final graph: with and without an
-index attached, across the serial and engine delta backends.
+``find_violations`` report on the final graph, with and without an
+index attached.
 """
 
 import json
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +17,6 @@ from repro.graph.update import GraphUpdate
 from repro.indexing import attach_index, get_index
 from repro.reasoning import find_violations
 from repro.streaming import (
-    EngineDeltaExecutor,
     ViolationLedger,
     canonical_report,
     violation_to_dict,
@@ -98,7 +96,7 @@ class TestSerialProperty:
     def test_introduced_order_is_canonical_not_pin_order(self):
         """Two violations introduced by one batch whose pin-enumeration
         order differs from canonical (dep, embedding) order: the delta
-        must come back canonically sorted (backend-independent)."""
+        must come back canonically sorted."""
         from repro.deps import GED, ConstantLiteral
         from repro.graph import GraphBuilder
         from repro.patterns import Pattern
@@ -150,60 +148,3 @@ class TestSerialProperty:
         ledger.refresh(stream.updates[0])
         assert peek_view(graph) is None
         assert_ledger_equals_full(ledger, graph, stream.sigma)
-
-
-class TestEngineBackend:
-    """The engine-pooled delta path (process workers: a few fixed seeds
-    rather than a hypothesis sweep)."""
-
-    @STREAMS
-    @pytest.mark.parametrize("indexed", [False, True], ids=["plain", "indexed"])
-    @pytest.mark.parametrize("seed", [3, 11])
-    def test_engine_equals_full_revalidation(self, seed, indexed, make_stream):
-        stream = make_stream(n_nodes=60, batches=8, rng=seed)
-        graph = stream.base.copy()
-        if indexed:
-            attach_index(graph)
-        with ViolationLedger(graph, stream.sigma, backend="engine", workers=2) as ledger:
-            ledger.bootstrap()
-            for update in stream.updates:
-                ledger.refresh(update)
-            assert_ledger_equals_full(ledger, graph, stream.sigma)
-
-    def test_engine_deltas_match_serial_deltas(self):
-        """Batch-by-batch determinism across backends, not just final
-        state."""
-        stream = churn_stream(n_nodes=60, batches=6, rng=7)
-        serial_graph = stream.base.copy()
-        engine_graph = stream.base.copy()
-        serial = ViolationLedger(serial_graph, stream.sigma)
-        serial.bootstrap()
-        with ViolationLedger(
-            engine_graph, stream.sigma, backend="engine", workers=2
-        ) as engine:
-            engine.bootstrap()
-            for update in stream.updates:
-                serial_delta = serial.refresh(update)
-                engine_delta = engine.refresh(update)
-                assert ndjson(serial_delta.introduced) == ndjson(engine_delta.introduced)
-                assert ndjson(serial_delta.retired) == ndjson(engine_delta.retired)
-                assert ndjson(serial_delta.updated) == ndjson(engine_delta.updated)
-
-    def test_rebroadcast_checkpoint_path(self):
-        """A tiny replication-log bound forces mid-stream re-broadcasts;
-        correctness must be unaffected and the executor must record them."""
-        stream = churn_stream(n_nodes=50, batches=8, rng=5)
-        graph = stream.base.copy()
-        ledger = ViolationLedger(graph, stream.sigma, backend="engine", workers=2)
-        # Pre-build the executor with a tiny log bound, then stream.
-        ledger._executor = EngineDeltaExecutor(
-            graph, ledger.sigma, workers=2, max_pending=2
-        )
-        try:
-            ledger.bootstrap()
-            for update in stream.updates:
-                ledger.refresh(update)
-            assert ledger._executor.rebroadcasts >= 2
-            assert_ledger_equals_full(ledger, graph, stream.sigma)
-        finally:
-            ledger.close()

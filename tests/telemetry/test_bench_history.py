@@ -4,8 +4,6 @@ import json
 import pathlib
 import sys
 
-import pytest
-
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 

@@ -10,9 +10,7 @@ from repro.deps import GED, IdLiteral
 from repro.deps.io import ged_to_dict
 from repro.engine import shutdown_pools
 from repro.graph import GraphBuilder
-from repro.graph.io import UpdateLogWriter, graph_to_json
-from repro.graph.update import GraphUpdate
-from repro.indexing.maintenance import apply_update_indexed
+from repro.graph.io import graph_to_json
 
 
 @pytest.fixture(autouse=True)
@@ -49,22 +47,20 @@ def kb_files(tmp_path):
 
 
 class TestStats:
-    def test_fragment_backend_reports_headline_stats(self, kb_files, capsys):
+    def test_engine_backend_reports_headline_stats(self, kb_files, capsys):
         graph_path, rules_path = kb_files
         code = main(
             ["stats", "--graph", str(graph_path), "--rules", str(rules_path),
-             "--backend", "fragment", "--workers", "2"]
+             "--backend", "engine", "--workers", "2"]
         )
         out = capsys.readouterr().out
         assert code == 1  # dirty graph, same contract as pvalidate
-        # the acceptance headline block
-        assert "escalated-pivot share:" in out
-        assert "warm-pool hit rate:" in out
-        assert "border-replica share:" in out
-        assert "per-fragment frames expanded:" in out
-        assert "fragment.pivots.local" in out
-        # per-fragment frame attribution actually collected
-        assert "fragment.frames_expanded.fragment" in out
+        # the headline block
+        assert "warm-pool hit rate:      0.0%" in out  # one cold build
+        assert "LPT imbalance:" in out
+        assert "engine.pool.cold_builds" in out
+        # the workers' frame counts came home and merged
+        assert "plan.frames_expanded" in out
 
     def test_json_format(self, kb_files, capsys):
         graph_path, rules_path = kb_files
@@ -76,7 +72,7 @@ class TestStats:
         assert code == 1
         assert payload["backend"] == "serial"
         assert payload["snapshot"]["counters"]["plan.frames_expanded"] > 0
-        assert "escalated_pivot_share" in payload["derived"]
+        assert "warm_pool_hit_rate" in payload["derived"]
 
     def test_prom_format(self, kb_files, capsys):
         graph_path, rules_path = kb_files
@@ -100,7 +96,7 @@ class TestTelemetryFlag:
         target = tmp_path / "run.ndjson"
         code = main(
             ["pvalidate", "--graph", str(graph_path), "--rules", str(rules_path),
-             "--backend", "fragment", "--telemetry", f"ndjson:{target}"]
+             "--telemetry", f"ndjson:{target}"]
         )
         assert code == 1
         captured = capsys.readouterr()
@@ -123,41 +119,6 @@ class TestTelemetryFlag:
         )
         assert code == 2
         assert "ndjson:<path>" in capsys.readouterr().err
-
-
-class TestStreamSummary:
-    def _log(self, tmp_path):
-        base = _dirty_graph()
-        log_path = tmp_path / "updates.jsonl"
-        writer = UpdateLogWriter(log_path)
-        writer.write_base(base)
-        update = GraphUpdate(
-            nodes=(("tpe", "city", (("name", "Tampere"),)),),
-            edges=(("fin", "capital", "tpe"),),
-        )
-        apply_update_indexed(base, update)
-        writer.append(update, base)
-        writer.close()
-        return log_path
-
-    @pytest.mark.parametrize("backend", ["serial", "fragment"])
-    def test_summary_carries_routing_and_escalation_counts(
-        self, kb_files, tmp_path, capsys, backend
-    ):
-        _, rules_path = kb_files
-        log_path = self._log(tmp_path)
-        main(
-            ["stream", "--log", str(log_path), "--rules", str(rules_path),
-             "--backend", backend, "--workers", "2"]
-        )
-        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        (summary,) = [line for line in lines if line["type"] == "summary"]
-        assert {"routed_ops", "full_ops", "escalated_nodes"} <= set(summary)
-        if backend == "fragment":
-            assert summary["routed_ops"] > 0
-            assert summary["full_ops"] >= summary["routed_ops"]
-        else:
-            assert summary["routed_ops"] == 0
 
 
 class TestObservedExplain:
@@ -243,7 +204,7 @@ class TestTraceCommand:
         target = tmp_path / "slow.ndjson"
         main(
             ["pvalidate", "--graph", str(graph_path), "--rules", str(rules_path),
-             "--backend", "fragment", "--slow-plan-ms", "0",
+             "--backend", "engine", "--workers", "2", "--slow-plan-ms", "0",
              "--telemetry", f"ndjson:{target}"]
         )
         capsys.readouterr()

@@ -157,7 +157,7 @@ class TestCliStatsExposition:
             [
                 sys.executable, "-m", "repro.cli", "stats",
                 "--graph", str(graph_path), "--rules", str(rules_path),
-                "--backend", "fragment", "--workers", "1", "--format", "prom",
+                "--backend", "serial", "--format", "prom",
             ],
             capture_output=True,
             text=True,

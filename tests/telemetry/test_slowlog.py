@@ -3,6 +3,7 @@
 import pytest
 
 from repro import paper
+from repro.engine import shutdown_pools
 from repro.graph import GraphBuilder
 from repro.telemetry import metrics, slowlog, spans, trace
 
@@ -120,9 +121,12 @@ class TestValidationHook:
 
         metrics.enable()
         slowlog.set_slow_plan_threshold(0.0)
+        # The engine's workers run the shards and ship their records
+        # home on the telemetry snapshot.
         report = parallel_find_violations(
-            self._dirty_graph(), [paper.phi2()], workers=2, backend="fragment"
+            self._dirty_graph(), [paper.phi2()], workers=2, backend="engine"
         )
+        shutdown_pools()
         assert report.violations  # the fixture is dirty
         records = slowlog.drain_slow_plans()
         assert records, "threshold 0 must capture every shard"
@@ -137,8 +141,9 @@ class TestValidationHook:
 
         slowlog.set_slow_plan_threshold(0.0)
         parallel_find_violations(
-            self._dirty_graph(), [paper.phi2()], workers=2, backend="fragment"
+            self._dirty_graph(), [paper.phi2()], workers=2, backend="engine"
         )
+        shutdown_pools()
         assert slowlog.drain_slow_plans() == []
 
     def test_record_describes_its_own_shard(self):

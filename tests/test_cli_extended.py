@@ -161,7 +161,7 @@ class TestPvalidateCommand:
         )
         assert serial == parallel == 1
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread", "process", "fragment"])
     def test_removed_backend_is_a_usage_error(self, dirty_kb, backend, capsys):
         graph_path, rules_path = dirty_kb
         with pytest.raises(SystemExit) as exit_info:
@@ -174,4 +174,34 @@ class TestPvalidateCommand:
                 ]
             )
         assert exit_info.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert "(choose from serial, engine)" in err
+
+
+class TestRemovedOptions:
+    """Options and subcommands the CLI does not define exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [command, *required, *option]
+            for command, required in (
+                ("serve", ["--log", "updates.jsonl", "--rules", "rules.json"]),
+                ("stream", ["--log", "updates.jsonl", "--rules", "rules.json"]),
+            )
+            for option in (
+                ["--backend", "serial"],
+                ["--workers", "2"],
+                ["--fragment-mode", "hash"],
+            )
+        ]
+        + [["partition", "--graph", "kb.json"]],
+        ids=lambda argv: " ".join(argv[:1] + argv[5:]),
+    )
+    def test_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "invalid choice: 'partition'" in err

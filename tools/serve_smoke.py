@@ -8,13 +8,14 @@ job does —
 1. curls ``/healthz`` and ``/metrics`` over plain HTTP on the *same*
    port the protocol clients use, checking the health payload's fields
    and that the exposition parses;
-2. publishes one update batch through the wire protocol (the protocol
-   and HTTP clients must coexist on one listener);
+2. publishes one update batch through the wire protocol under a trace
+   context this script mints (the protocol and HTTP clients must
+   coexist on one listener);
 3. waits for the bounded run to exit and asserts the exported
-   ``trace.ndjson`` holds one assembled trace whose spans cross at
-   least three process boundaries (server loop, pool worker, push
-   delivery rides the server loop's tag — the worker tags are the
-   proof of propagation).
+   ``trace.ndjson`` holds the server's tree for that batch under the
+   minted trace id, hanging off this script's span ref — the wire is
+   the process boundary the context crosses — with the batch's
+   validate, log-append, apply, introduce and push spans.
 
 The trace file is left under ``--out`` for artifact upload.  Exit 0
 clean, 1 with a one-line reason otherwise.  Stdlib only::
@@ -81,8 +82,9 @@ def http_get(port: int, path: str) -> tuple[int, dict, bytes]:
         return error.code, dict(error.headers), error.read()
 
 
-def publish_one_batch(port: int) -> dict:
-    """Send one update over the wire protocol; returns the ack frame."""
+def publish_one_batch(port: int, trace) -> dict:
+    """Send one update over the wire protocol under ``trace``; returns
+    the ack frame."""
     import asyncio
 
     sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -91,8 +93,7 @@ def publish_one_batch(port: int) -> dict:
 
     async def run() -> dict:
         # A subscriber makes the batch exercise push delivery (the
-        # serve.push span); two added nodes make the introduced scan
-        # shard across two pool workers — two more process tags.
+        # serve.push span).
         watcher = await ServeClient.connect("127.0.0.1", port)
         client = await ServeClient.connect("127.0.0.1", port)
         try:
@@ -100,7 +101,7 @@ def publish_one_batch(port: int) -> dict:
             update = GraphUpdate(
                 nodes=[("p2", "person", {"age": 30}), ("p3", "person", {"age": 0})]
             )
-            ack = await client.send_update(update)
+            ack = await client.send_update(update, trace=trace)
             event = await watcher.next_event()
             assert event.get("type") in ("delta", "resync"), event
             return ack
@@ -111,54 +112,62 @@ def publish_one_batch(port: int) -> dict:
     return asyncio.run(run())
 
 
-def check_trace(trace_path: Path) -> str | None:
-    """Assert one trace crosses >= 3 process boundaries; None = clean."""
+BATCH_SPANS = {
+    "serve.validate",
+    "serve.log_append",
+    "stream.apply",
+    "stream.introduce",
+    "serve.push",
+}
+
+
+def check_trace(trace_path: Path, trace) -> str | None:
+    """Assert the server's batch tree sits under the minted ``trace``,
+    as a child of its parent ref; None = clean."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.telemetry import assemble_traces
-    from repro.telemetry.trace import ref_process
 
     records = [
         json.loads(line)
         for line in trace_path.read_text().splitlines()
         if line.strip()
     ]
-    forests = assemble_traces(records)
-    if not forests:
-        return "no assembled traces in export"
-    for trace_id, roots in forests.items():
-        names = set()
-        processes = set()
-        for root in roots:
-            for _, node in root.walk():
-                names.add(node.name)
-                if node.ref:
-                    processes.add(ref_process(node.ref))
-        if {"serve.batch", "serve.push", "stream.shard"} <= names and len(processes) >= 3:
-            print(
-                f"trace {trace_id}: {sorted(names)} across "
-                f"{len(processes)} process(es)"
-            )
-            return None
-    return f"no trace crossed 3 process boundaries: {list(forests)}"
+    roots = assemble_traces(records).get(trace.trace_id)
+    if not roots:
+        return f"no spans exported under the minted trace id {trace.trace_id}"
+    if len(roots) != 1 or roots[0].name != "serve.batch":
+        return f"expected one serve.batch root, got {[root.name for root in roots]}"
+    (root,) = roots
+    if root.record.get("parent_ref") != trace.parent_ref:
+        return f"serve.batch parent {root.record.get('parent_ref')!r} != {trace.parent_ref!r}"
+    names = {node.name for _, node in root.walk()}
+    if not BATCH_SPANS <= names:
+        return f"batch tree lacks {sorted(BATCH_SPANS - names)}"
+    print(f"trace {trace.trace_id}: {sorted(names)} under {trace.parent_ref}")
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="smoke-out", help="artifact directory")
-    parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args(argv)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     graph_path, rules_path, log_path = write_fixtures(out)
     trace_path = out / "trace.ndjson"
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.telemetry.trace import TraceContext, make_ref, start_trace
+
+    # A context minted here: a fresh trace id whose parent is a span ref
+    # of this process, so the server's batch tree must hang off it.
+    trace = TraceContext(start_trace().trace_id, make_ref(1))
 
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",
             "--log", str(log_path), "--rules", str(rules_path),
             "--graph", str(graph_path),
-            "--backend", "engine", "--workers", str(args.workers),
             "--telemetry", f"ndjson:{trace_path}",
             "--max-batches", "1", "--port", "0",
         ],
@@ -177,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         if status != 200 or health.get("status") != "ok":
             print(f"FAIL /healthz: {status} {health}", file=sys.stderr)
             return 1
-        for field in ("seq", "epoch", "backend", "subscribers", "queue_depth_p99"):
+        for field in ("seq", "epoch", "subscribers", "queue_depth_p99"):
             if field not in health:
                 print(f"FAIL /healthz missing {field!r}", file=sys.stderr)
                 return 1
@@ -193,8 +202,8 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(f"/metrics ok: {len(text.splitlines())} line(s)")
 
-        ack = publish_one_batch(port)
-        if ack.get("type") != "ack" or "trace_id" not in ack:
+        ack = publish_one_batch(port, trace)
+        if ack.get("type") != "ack" or ack.get("trace_id") != trace.trace_id:
             print(f"FAIL publish ack: {ack}", file=sys.stderr)
             return 1
         print(f"publish ok: {ack}")
@@ -211,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
     if not trace_path.exists():
         print("FAIL: no trace.ndjson exported", file=sys.stderr)
         return 1
-    reason = check_trace(trace_path)
+    reason = check_trace(trace_path, trace)
     if reason is not None:
         print(f"FAIL trace: {reason}", file=sys.stderr)
         print(trace_path.read_text(), file=sys.stderr)
