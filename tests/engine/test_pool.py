@@ -17,12 +17,13 @@ from repro.engine import (
     shutdown_pools,
 )
 from repro.engine.snapshot import snapshot_graph
-from repro.indexing import attach_index, detach_index
+from repro.indexing import attach_index, detach_index, get_index
 from repro.matching.homomorphism import count_matches
 from repro.parallel import parallel_find_violations
 from repro.patterns.pattern import Pattern
 from repro.reasoning import find_violations
 from repro.repair.suggest import suggest_repairs, suggest_repairs_batch
+from repro.telemetry import metrics
 from repro.workloads import bounded_rule_set, validation_workload
 
 
@@ -77,6 +78,52 @@ class TestPoolRegistry:
         attach_index(graph)
         indexed = get_pool(graph, 2)
         assert indexed is not unindexed and indexed.indexed
+
+    @pytest.mark.parametrize("change", ["version", "workers", "index", "closed"])
+    def test_retirement_counts_its_reason(self, change):
+        graph = validation_workload(80, rng=5)
+        detach_index(graph)
+        first = get_pool(graph, 2)
+        workers = 2
+        if change == "version":
+            graph.add_node("extra", "user")
+        elif change == "workers":
+            workers = 3
+        elif change == "index":
+            attach_index(graph)
+        else:
+            first.close()
+        with metrics.collecting() as registry:
+            second = get_pool(graph, workers)
+        assert second is not first and first.closed
+        counts = {
+            reason: registry.counter_value(f"engine.pool.invalidated.{reason}")
+            for reason in ("version", "workers", "index", "closed")
+        }
+        assert counts == {reason: int(reason == change) for reason in counts}
+        assert registry.counter_value("engine.pool.cold_builds") == 1
+        assert registry.counter_value("engine.pool.warm_hits") == 0
+
+    def test_warm_lookup_counts_a_hit_and_builds_nothing(self):
+        graph = validation_workload(80, rng=5)
+        pool = get_pool(graph, 2)
+        with metrics.collecting() as registry:
+            assert get_pool(graph, 2) is pool
+        assert registry.counter_value("engine.pool.warm_hits") == 1
+        assert registry.counter_value("engine.pool.cold_builds") == 0
+        assert registry.counter_value("engine.pools_built") == 0
+
+    def test_ensure_index_attaches_before_the_broadcast(self):
+        graph = validation_workload(80, rng=5)
+        detach_index(graph)
+        version = graph.version
+        pool = get_pool(graph, 2, ensure_index=True)
+        assert pool.indexed and get_index(graph) is not None
+        assert graph.version == version == pool.version
+        # An index already attached is kept, and the pool stays warm.
+        index = get_index(graph)
+        assert get_pool(graph, 2, ensure_index=True) is pool
+        assert get_index(graph) is index
 
     def test_release_pool(self):
         graph = validation_workload(80, rng=5)
@@ -154,6 +201,24 @@ class TestPoolAdapters:
 
         gc.collect()
         assert pool.closed
+
+    def test_counting_no_patterns_dispatches_nothing(self):
+        graph = validation_workload(60, rng=4)
+        pool = get_pool(graph, 2)
+        assert pool.count_patterns([]) == []
+        assert pool.calls == 0 and pool.tasks_dispatched == 0
+
+    def test_count_patterns_chunks_keep_dispatch_order(self):
+        """More patterns than 2 × workers: counted in contiguous chunks,
+        one task each, flattened back into the input order."""
+        graph = validation_workload(100, rng=4)
+        patterns = [
+            Pattern({"x": label})
+            for label in ("user", "item", "shop", "user", "item", "shop", "user")
+        ] + [Pattern({"x": "shop", "y": "item"}, [("x", "sells", "y")])]
+        pool = get_pool(graph, 2)
+        assert pool.count_patterns(patterns) == [count_matches(p, graph) for p in patterns]
+        assert pool.calls == 1 and pool.tasks_dispatched == 4
 
     def test_count_patterns_matches_serial(self):
         graph = validation_workload(100, rng=4)

@@ -119,6 +119,72 @@ class TestEdges:
         with pytest.raises(GraphError):
             g.node("zzz")
 
+    def test_row_lookups_of_unknown_node_raise(self):
+        g = simple_graph()
+        assert g.out_row("a", "create") == {"b"}
+        with pytest.raises(GraphError, match="unknown node 'zzz'"):
+            g.out_row("zzz", "create")
+        with pytest.raises(GraphError, match="unknown node 'zzz'"):
+            g.in_row("zzz", "create")
+
+
+#: Interned columns of a two-node graph (a -create-> b, a.name = Ada),
+#: spelled out: ``pool`` slots 7-9 are spare values the malformed cases
+#: point at.
+POOL = ["a", "person", "b", "product", "name", "Ada", "create", "id", 7, ""]
+COLUMNS = {
+    "node_ids": [0, 2],
+    "node_labels": [1, 3],
+    "attr_node": [0],
+    "attr_name": [4],
+    "attr_value": [5],
+    "edge_src": [0],
+    "edge_label": [6],
+    "edge_dst": [1],
+}
+
+MALFORMED_COLUMNS = [
+    # (columns replaced, error fragment)
+    ({"attr_value": []}, "attr_node, attr_name and attr_value differ in length"),
+    ({"attr_name": [7]}, "'id' is the reserved node identity"),
+    ({"node_ids": [0, 0]}, "node 'a' already exists"),
+    ({"node_ids": [0, 9]}, "node id must be a non-empty string, got ''"),
+    ({"node_labels": [1, 8]}, "node label must be a non-empty string, got 7"),
+    ({"attr_name": [8]}, "attribute name must be a non-empty string, got 7"),
+    ({"edge_label": [9]}, "edge label must be a non-empty string, got ''"),
+    ({"node_ids": [0, 99]}, r"node_ids holds an index outside range\(10\)"),
+    ({"attr_value": [10]}, r"attr_value holds an index outside range\(10\)"),
+    ({"attr_node": [2]}, r"attr_node holds an index outside range\(2\)"),
+    ({"edge_src": [-1]}, r"edge_src holds an index outside range\(2\)"),
+]
+
+
+class TestFromColumns:
+    """The bulk constructor refuses what the per-element calls refuse."""
+
+    def test_well_formed_columns_build_the_graph(self):
+        g = Graph.from_columns(POOL, *COLUMNS.values())
+        # Nodes, then attributes, then edges, one call at a time.
+        expected = Graph()
+        expected.add_node("a", "person")
+        expected.add_node("b", "product")
+        expected.set_attribute("a", "name", "Ada")
+        expected.add_edge("a", "create", "b")
+        assert g == expected and g.version == expected.version
+        assert g.node_ids == ["a", "b"]
+        assert [g.node(n).label for n in g.node_ids] == ["person", "product"]
+        assert g.node("a").attributes == {"name": "Ada"}
+        assert g.edges == {("a", "create", "b")}
+
+    @pytest.mark.parametrize(
+        "replaced,fragment",
+        MALFORMED_COLUMNS,
+        ids=["-".join(replaced) + f"-{n}" for n, (replaced, _) in enumerate(MALFORMED_COLUMNS)],
+    )
+    def test_malformed_columns_rejected(self, replaced, fragment):
+        with pytest.raises(GraphError, match=fragment):
+            Graph.from_columns(POOL, *{**COLUMNS, **replaced}.values())
+
 
 class TestIndexes:
     def test_nodes_with_label(self):

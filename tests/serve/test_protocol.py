@@ -61,6 +61,8 @@ class TestCanonicalEncoding:
             decode_payload(b"[1,2]")
         with pytest.raises(ProtocolError, match="not valid JSON"):
             decode_payload(b"{nope")
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            decode_payload(b"\xff\xfe")  # not UTF-8
 
     def test_unserializable_frame_rejected(self):
         with pytest.raises(ProtocolError, match="not JSON-representable"):
@@ -104,6 +106,25 @@ class TestFraming:
         wire = (MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"x"
         with pytest.raises(ProtocolError, match="cap"):
             decode_frames(wire, LENGTH_PREFIXED)
+
+    def test_oversized_payload_rejected_on_encode_and_decode(self):
+        frame = {"type": "bye", "reason": "x" * MAX_FRAME_BYTES}
+        with pytest.raises(ProtocolError, match="exceeds the .*-byte cap"):
+            encode_payload(frame)
+        with pytest.raises(ProtocolError, match="exceeds the .*-byte cap"):
+            decode_payload(b" " * (MAX_FRAME_BYTES + 1))
+
+    def test_largest_payload_under_the_cap_round_trips(self):
+        overhead = len(encode_payload({"type": "bye", "reason": ""}))
+        frame = {"type": "bye", "reason": "x" * (MAX_FRAME_BYTES - overhead)}
+        wire = encode_frame(frame, LENGTH_PREFIXED)
+        assert int.from_bytes(wire[:4], "big") == MAX_FRAME_BYTES
+        assert decode_frames(wire, LENGTH_PREFIXED) == [frame]
+
+    def test_truncated_length_prefix_rejected(self):
+        wire = encode_frame({"type": "bye"}, LENGTH_PREFIXED)
+        with pytest.raises(ProtocolError, match="truncated length prefix"):
+            decode_frames(wire + wire[:3], LENGTH_PREFIXED)
 
 
 class TestStreamReaders:
@@ -149,6 +170,41 @@ class TestStreamReaders:
                 await read_frame(feed(wire[:-2]), LENGTH_PREFIXED)
             with pytest.raises(ProtocolError, match="mid line-delimited"):
                 await read_frame(feed(b'{"type":"bye"'), LINE_DELIMITED)
+
+        run(scenario())
+
+    def test_read_frame_oversized_length_prefix_rejected(self):
+        async def scenario():
+            wire = (MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"{}"
+            with pytest.raises(ProtocolError, match="length prefix .* exceeds"):
+                await read_frame(feed(wire), LENGTH_PREFIXED)
+
+        run(scenario())
+
+    def test_read_frame_unknown_framing_rejected(self):
+        async def scenario():
+            with pytest.raises(ProtocolError, match="framing must be one of"):
+                await read_frame(feed(b'{"type":"bye"}\n'), "morse")
+
+        run(scenario())
+
+    def test_line_longer_than_the_stream_limit_rejected(self):
+        async def scenario():
+            reader = asyncio.StreamReader(limit=16)
+            reader.feed_data(encode_frame({"type": "bye", "reason": "x" * 64}, LINE_DELIMITED))
+            reader.feed_eof()
+            with pytest.raises(ProtocolError, match="exceeds the stream limit"):
+                await read_frame(reader, LINE_DELIMITED)
+
+        run(scenario())
+
+    def test_blank_line_reads_as_end_of_stream(self):
+        async def scenario():
+            assert await read_frame(feed(b"  \n"), LINE_DELIMITED) is None
+            # Trailing whitespace after the last frame is a clean EOF too.
+            reader = feed(encode_frame({"type": "bye"}, LINE_DELIMITED) + b"  ")
+            assert await read_frame(reader, LINE_DELIMITED) == {"type": "bye"}
+            assert await read_frame(reader, LINE_DELIMITED) is None
 
         run(scenario())
 

@@ -17,7 +17,7 @@ from repro.graph.update import GraphUpdate
 from repro.reasoning import find_violations
 from repro.serve import ProtocolError, ServeClient, ViolationServer
 from repro.serve.protocol import LENGTH_PREFIXED, LINE_DELIMITED, decode_frames, encode_frame
-from repro.streaming import canonical_report, violation_to_dict
+from repro.streaming import ViolationLedger, canonical_report, violation_to_dict
 from repro.workloads import churn_stream
 
 # rng=25: 6 bootstrap violations across all three named rules, and the
@@ -179,6 +179,81 @@ class TestSessionBasics:
                 await both.close()
 
         run(scenario())
+
+    def test_served_stream_matches_the_in_process_ledger(self):
+        """The wire stream carries exactly the ledger's deltas: a
+        subscriber's frames equal an in-process ledger's deltas over the
+        same batches, minus the fields only the ledger reports."""
+        stream = stream_fixture()
+        ledger = ViolationLedger(stream.base.copy(), stream.sigma)
+        expected = [expected_report(ledger.graph, stream.sigma)]
+        ledger.bootstrap()
+        for update in stream.updates:
+            payload = ledger.refresh(update).to_dict()
+            for field in ("rechecked", "touched", "wall_seconds"):
+                del payload[field]
+            expected.append({"type": "delta", **payload})
+
+        async def scenario():
+            async with ViolationServer(stream.base.copy(), stream.sigma) as server:
+                sub = await ServeClient.connect("127.0.0.1", server.port)
+                pub = await ServeClient.connect("127.0.0.1", server.port)
+                frames = [(await sub.subscribe())["violations"]]
+                for update in stream.updates:
+                    await pub.send_update(update)
+                    frames.append(await sub.next_event(timeout=5))
+                await sub.close()
+                await pub.close()
+            return frames
+
+        frames = run(asyncio.wait_for(scenario(), 30))
+        assert frames == expected
+        assert any(frame["introduced"] or frame["retired"] for frame in frames[1:])
+
+
+class TestLifecycle:
+    def test_port_is_unknown_before_start(self):
+        stream = stream_fixture()
+        server = ViolationServer(stream.base.copy(), stream.sigma)
+        with pytest.raises(RuntimeError, match="not started"):
+            server.port
+
+    def test_run_binds_and_stops_after_max_batches(self, tmp_path):
+        """``run`` binds an unstarted server and, bounded, stops itself
+        (checkpointing the log) once the last allowed batch is acked."""
+        stream = stream_fixture()
+        log = tmp_path / "updates.jsonl"
+        server = ViolationServer(stream.base.copy(), stream.sigma, log_path=log)
+
+        async def scenario():
+            serving = asyncio.create_task(server.run(max_batches=2))
+            for _ in range(500):
+                try:
+                    port = server.port
+                    break
+                except RuntimeError:
+                    await asyncio.sleep(0.01)
+            else:
+                raise AssertionError("run() never bound the listener")
+            client = await ServeClient.connect("127.0.0.1", port)
+            await client.subscribe()
+            acks = [await client.send_update(update) for update in stream.updates[:2]]
+            await asyncio.wait_for(serving, timeout=5)
+            frames = [await client.next_event(timeout=5) for _ in range(3)]
+            await client.close()
+            return acks, frames
+
+        acks, frames = run(asyncio.wait_for(scenario(), 30))
+        assert [ack["seq"] for ack in acks] == [1, 2]
+        assert [frame["type"] for frame in frames] == ["delta", "delta", "bye"]
+        assert server.stats()["batches_applied"] == 2
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [(r["type"], r["seq"]) for r in records] == [
+            ("checkpoint", 0),
+            ("update", 1),
+            ("update", 2),
+            ("checkpoint", 2),
+        ]
 
 
 class TestErrorPaths:

@@ -155,6 +155,40 @@ class TestMaintenanceDeletions:
         assert "tags" in index.unindexable_attrs
         assert_patch_equals_rebuild(g, index)
 
+    def test_unindexable_flag_clears_when_its_node_goes(self):
+        """Deleting the node that holds the last unhashable value
+        clears the flag, as deleting the attribute does."""
+        g = GraphBuilder().node("a", "L").node("b", "L").build()
+        g.set_attribute("a", "tags", [1, 2])
+        g.set_attribute("b", "tags", "ok")
+        index = attach_index(g)
+        assert "tags" in index.unindexable_attrs
+        apply_update_indexed(g, GraphUpdate(del_nodes=["a"]))
+        assert "tags" not in index.unindexable_attrs
+        assert index.nodes_with_attr_value("tags", "ok") == {"b"}
+        assert_patch_equals_rebuild(g, index)
+
+    def test_maintenance_counts_reach_the_telemetry_sink(self):
+        from repro.telemetry import metrics
+
+        g = small_graph()
+        index = attach_index(g)
+        update = GraphUpdate(
+            nodes=[("d", "M", {"y": 3})],
+            edges=[("d", "s", "a"), ("a", "r", "b")],  # the second exists already
+            attrs=[("c", "x", 4)],
+            del_edges=[("b", "s", "c")],
+            del_attrs=[("a", "x")],
+        )
+        with metrics.collecting() as registry:
+            report = IndexMaintenance(g, index).apply(update)
+        assert (report.nodes_added, report.edges_added, report.attrs_written) == (1, 1, 1)
+        assert (report.edges_removed, report.attrs_removed, report.nodes_removed) == (1, 1, 0)
+        assert report.total_operations() == 5
+        assert registry.counter_value("index.maintenance_batches") == 1
+        assert registry.counter_value("index.maintenance_ops") == 5
+        assert_patch_equals_rebuild(g, index)
+
     def test_deletion_retires_warm_engine_pool(self):
         """Deletions advance the mutation version, so a warm engine
         pool snapshotted before the batch must not be reused."""

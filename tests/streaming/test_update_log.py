@@ -249,6 +249,35 @@ class TestLogFormat:
         path.write_text(path.read_text() + "\n\n")
         assert len(list(read_update_log(path))) == 1
 
+    @pytest.mark.parametrize("record", [[1, 2], {"seq": 1}, {"type": "update"}])
+    def test_record_without_type_and_seq_rejected_with_position(self, tmp_path, record):
+        path = tmp_path / "log.jsonl"
+        good = {"format": UPDATE_LOG_FORMAT, "type": "update", "seq": 1, "update": {}}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(GraphError, match=":2: malformed update-log record"):
+            list(read_update_log(path))
+
+    @pytest.mark.parametrize("contents", ["", "\n\n"], ids=["empty", "blank"])
+    def test_writer_on_a_log_without_records_starts_at_one(self, tmp_path, contents):
+        path = tmp_path / "log.jsonl"
+        path.write_text(contents)
+        with UpdateLogWriter(path) as writer:
+            assert writer.seq == 0
+            assert writer.append(GraphUpdate(nodes=[("n", "L", {})])) == 1
+        assert [r.seq for r in read_update_log(path)] == [1]
+
+    @pytest.mark.parametrize("every", [0, -2])
+    def test_checkpoint_interval_must_be_positive(self, tmp_path, every):
+        path = tmp_path / "log.jsonl"
+        with pytest.raises(ValueError, match="checkpoint_every must be >= 1"):
+            UpdateLogWriter(path, checkpoint_every=every)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("payload", [None, [], "nodes"])
+    def test_update_payload_must_be_a_dictionary(self, payload):
+        with pytest.raises(GraphError, match="update dictionary expected"):
+            update_from_dict(payload)
+
 
 class TestTornTail:
     """A final line that lacks its newline and does not parse is a torn
@@ -364,6 +393,21 @@ class TestMalformedCheckpoint:
         arrays["edge_dst"] = [99]
         with pytest.raises(GraphError, match="edge_dst holds an index outside range"):
             graph_from_arrays(arrays)
+
+    @pytest.mark.parametrize("column", ["pool", "node_ids", "attr_value", "edge_dst"])
+    def test_missing_column_refused(self, tmp_path, column):
+        arrays = self.checkpoint(tmp_path)
+        del arrays[column]
+        with pytest.raises(GraphError, match="needs a pool list and the integer columns"):
+            graph_from_arrays(arrays)
+
+    def test_non_list_column_refused(self, tmp_path):
+        arrays = self.checkpoint(tmp_path)
+        arrays["edge_src"] = "0"
+        with pytest.raises(GraphError, match="needs a pool list"):
+            graph_from_arrays(arrays)
+        with pytest.raises(GraphError, match="needs a pool list"):
+            graph_from_arrays(["not", "a", "mapping"])
 
     def test_replay_refuses_malformed_checkpoint(self, tmp_path):
         arrays = self.checkpoint(tmp_path)

@@ -1,12 +1,17 @@
-"""Satellites: whole-batch validation up front, duplicate-add semantics."""
+"""Whole-batch validation up front (for the apply path and the ledger
+above it), duplicate-add semantics."""
 
 import pytest
 
+from repro.deps import GED, ConstantLiteral
 from repro.errors import GraphError, ReproError
 from repro.graph import GraphBuilder
 from repro.graph.update import GraphUpdate, validate_update
 from repro.indexing import attach_index, build_indexes, get_index
 from repro.indexing.maintenance import apply_update_indexed
+from repro.patterns import Pattern
+from repro.reasoning import find_violations
+from repro.streaming import ViolationLedger, canonical_report
 
 
 def base_graph():
@@ -46,7 +51,14 @@ BAD_BATCHES = [
     (GraphUpdate(del_edges=[("a", "r", "b"), ("a", "r", "b")]), "duplicate edge deletion"),
     (GraphUpdate(del_attrs=[("a", "x"), ("a", "x")]), "duplicate attribute deletion"),
     (GraphUpdate(nodes=[("", "L", {})]), "invalid node id"),
+    (GraphUpdate(nodes=[(None, "L", {})]), "None"),
     (GraphUpdate(nodes=[("n2", "", {})]), "invalid node label"),
+    (GraphUpdate(nodes=[("n2", "L", {"id": 1})]), "reserved node identity"),
+    (GraphUpdate(nodes=[("n2", "L", {"": 1})]), "invalid attribute name"),
+    (GraphUpdate(attrs=[("a", "", 1)]), "'a', '', 1"),
+    (GraphUpdate(attrs=[("a", 7, 1)]), "'a', 7, 1"),
+    (GraphUpdate(edges=[("a", "", "b")]), "invalid edge label"),
+    (GraphUpdate(edges=[("a", None, "b")]), "'a', None, 'b'"),
     # references a node that the same batch deletes
     (GraphUpdate(del_nodes=["b"], edges=[("a", "r", "b")]), "missing node"),
     (GraphUpdate(del_nodes=["b"], attrs=[("b", "x", 1)]), "missing node"),
@@ -87,6 +99,42 @@ class TestAtomicValidation:
         validate_update(g, GraphUpdate(nodes=[("n", "L", {})], edges=[("n", "r", "a")]))
         with pytest.raises(GraphError):
             validate_update(g, GraphUpdate(edges=[("n", "r", "a")]))
+
+
+class TestLedgerAtomicity:
+    """The ledger inherits the apply path's atomicity: a rejected batch
+    raises before the ledger moves, so its seq and entries stay as they
+    were and the next good batch still gets an exact delta.  The ledger
+    reads a batch's footprint before the apply path validates it, so
+    every malformed kind goes through here too."""
+
+    @pytest.mark.parametrize(
+        "update,fragment", BAD_BATCHES, ids=[f for _, f in BAD_BATCHES]
+    )
+    def test_rejected_batch_leaves_the_ledger_untouched(self, update, fragment):
+        g = base_graph()
+        attach_index(g)
+        # a.x = 1 breaks x.x = 2 on the one L -r-> M match: one entry.
+        sigma = [
+            GED(
+                Pattern({"s": "L", "t": "M"}, [("s", "r", "t")]),
+                [],
+                [ConstantLiteral("s", "x", 2)],
+                name="x-is-2",
+            )
+        ]
+        ledger = ViolationLedger(g, sigma)
+        ledger.bootstrap()
+        before = (ledger.seq, ledger.entries(), snapshot(g))
+        assert len(before[1]) == 1
+        with pytest.raises(ReproError, match=fragment):
+            ledger.refresh(update)
+        assert (ledger.seq, ledger.entries(), snapshot(g)) == before
+        delta = ledger.refresh(GraphUpdate(attrs=[("a", "x", 2)]))
+        assert delta.seq == 1
+        assert [v.match for v in delta.retired] == [(("s", "a"), ("t", "b"))]
+        assert ledger.violations() == canonical_report(sigma, find_violations(g, sigma))
+        assert get_index(g) is not None
 
 
 class TestDuplicateAddSemantics:
