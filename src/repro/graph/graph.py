@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence, Set as AbstractSet
-from itertools import chain, count, repeat
-from operator import attrgetter, itemgetter
+from itertools import chain, count, filterfalse
+from operator import attrgetter, itemgetter, mul
 
 from repro.errors import GraphError
 
@@ -302,9 +302,11 @@ class Graph:
 
         ``pool`` holds each distinct value once, keyed by ``(type,
         value)`` so that ``1``, ``1.0`` and ``True`` keep their types; an
-        unhashable value takes one slot per occurrence.  It lists node
-        labels, attribute names and edge labels first, then attribute
-        values, then the node ids not already in it, each section in
+        unhashable value takes one slot per occurrence.  The node ids
+        come first, in node order, so ``node_ids`` is ``range(n)`` and
+        an id's slot is also its position; the node labels, attribute
+        names and edge labels that are not ids follow, then the
+        attribute values not already in the pool, each section in
         first-seen order.  The other columns are ``array('I')``:
         ``attr_node``, ``edge_src`` and ``edge_dst`` hold positions in
         ``node_ids``, the rest hold slots in ``pool``.  Nodes, attributes
@@ -321,34 +323,43 @@ class Graph:
         edges = self._edges
         edge_labels = list(map(_SECOND, edges))
 
-        strings = dict.fromkeys(chain(labels, names, edge_labels))
-        keys = dict.fromkeys(_typed(strings))
+        # Ids hold slots 0..n-1, so this one table maps an id to its
+        # slot and its position, and any other string to its slot.
+        named = dict(zip(ids, count()))
+        strings = list(
+            filterfalse(named.__contains__, dict.fromkeys(chain(labels, names, edge_labels)))
+        )
+        named.update(zip(strings, count(len(ids))))
         value_keys = list(_typed(values))
         unhashable: list[int] = []
         try:
-            keys.update(dict.fromkeys(value_keys))
+            distinct = dict.fromkeys(value_keys)
         except TypeError:
             value_keys, unhashable = _pool_keys(values)
-            keys.update(dict.fromkeys(value_keys))
-        keys.update(dict.fromkeys(_typed(ids)))
-        slots = dict(zip(keys, count()))
-        pool = list(map(_SECOND, slots))
+            distinct = dict.fromkeys(value_keys)
+        # A string value keeps the slot of the id or name it equals.
+        slots = {
+            key: named[key[1]] for key in distinct if key[0] is str and key[1] in named
+        }
+        fresh = list(filterfalse(slots.__contains__, distinct))
+        slots.update(zip(fresh, count(len(named))))
+        pool = ids + strings + list(map(_SECOND, fresh))
         for position in unhashable:
             pool[slots[(_UNHASHABLE, position)]] = values[position]
 
-        slot = slots.__getitem__
-        named = dict(zip(strings, map(slot, _typed(strings)))).__getitem__
-        position = dict(zip(ids, count())).__getitem__
+        slot = named.__getitem__
+        # ``(i,) * k`` lists node position i once per attribute of node i.
+        attr_node = chain.from_iterable(map(mul, zip(range(len(ids))), map(len, tables)))
         return (
             pool,
-            array("I", map(slot, _typed(ids))),
-            array("I", map(named, labels)),
-            array("I", chain.from_iterable(map(repeat, range(len(ids)), map(len, tables)))),
-            array("I", map(named, names)),
-            array("I", map(slot, value_keys)),
-            array("I", map(position, map(_FIRST, edges))),
-            array("I", map(named, edge_labels)),
-            array("I", map(position, map(_THIRD, edges))),
+            array("I", range(len(ids))),
+            array("I", map(slot, labels)),
+            array("I", attr_node),
+            array("I", map(slot, names)),
+            array("I", map(slots.__getitem__, value_keys)),
+            array("I", map(slot, map(_FIRST, edges))),
+            array("I", map(slot, edge_labels)),
+            array("I", map(slot, map(_THIRD, edges))),
         )
 
     # ------------------------------------------------------------------

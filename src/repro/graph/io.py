@@ -29,20 +29,25 @@ The **update log** (:class:`UpdateLogWriter` / :func:`read_update_log` /
 :class:`~repro.graph.update.GraphUpdate` batches durable and resumable:
 one JSONL line per batch, each stamped with a monotone sequence number,
 interleaved with periodic *checkpoint* lines carrying the full graph in
-the flat-array encoding (arrays spelled as JSON lists).  Replaying from
-the latest checkpoint rather than the beginning is what makes recovery
-O(tail), not O(history).  A final line cut short by a crash is skipped
-by the readers and truncated by the next writer.  The exact line
-formats are specified in ``docs/update-log.md``; attribute values must
-be JSON-representable (the same restriction the plain JSON graph format
-has).
+the flat-array encoding: the pool as a JSON list, each integer column
+as the base64 text of its little-endian uint32 bytes (format 2; a
+format-1 log spells the columns as JSON lists, and still replays).
+Replaying from the latest checkpoint rather than the beginning is what
+makes recovery O(tail), not O(history).  A final line cut short by a
+crash is skipped by the readers and truncated by the next writer.  The
+exact line formats are specified in ``docs/update-log.md``; attribute
+values must be JSON-representable (the same restriction the plain JSON
+graph format has).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import sys
 from array import array
+from binascii import Error as Base64Error, a2b_base64, b2a_base64
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
@@ -121,32 +126,86 @@ def graph_to_arrays(g: Graph) -> dict[str, Any]:
 def graph_from_arrays(data: dict[str, Any]) -> Graph:
     """Rebuild a graph from :func:`graph_to_arrays` output.
 
-    Integer columns may be ``array('I')`` or plain lists (a checkpoint's
-    JSON spelling).  One bulk build (:meth:`Graph.from_columns`) fills
-    the graph; a malformed encoding — a missing or ragged column, a slot
-    outside the pool, a position outside ``node_ids``, or a value the
-    graph refuses — raises :class:`GraphError` rather than decoding to a
-    different graph.
+    Integer columns may be ``array('I')``, plain lists (a format-1
+    checkpoint's JSON spelling) or packed strings (a format-2
+    checkpoint's, see :func:`_packed`).  One bulk build
+    (:meth:`Graph.from_columns`) fills the graph; a malformed encoding —
+    a missing or ragged column, a packed column that is not base64 of
+    whole uint32s, a slot outside the pool, a position outside
+    ``node_ids``, or a value the graph refuses — raises
+    :class:`GraphError` rather than decoding to a different graph.
     """
     try:
         pool = data["pool"]
         columns = [data[column] for column in _ARRAY_COLUMNS]
     except (KeyError, TypeError):
         columns = None
-    if columns is None or not all(isinstance(c, (list, array)) for c in [pool, *columns]):
+    if (
+        columns is None
+        or not isinstance(pool, (list, array))
+        or not all(isinstance(c, (list, array, str)) for c in columns)
+    ):
         raise GraphError(
             "a flat-array graph needs a pool list and the integer columns "
             + ", ".join(_ARRAY_COLUMNS)
         )
+    columns = [
+        _unpacked(column, name) if isinstance(column, str) else column
+        for name, column in zip(_ARRAY_COLUMNS, columns)
+    ]
     return Graph.from_columns(pool, *columns)
+
+
+#: Packed columns are little-endian uint32; ``array('I')`` holds them.
+_BYTESWAP = sys.byteorder == "big"
+
+
+def _packed(column: array) -> str:
+    """``column`` (an ``array('I')``) as the base64 text of its
+    little-endian uint32 bytes: a checkpoint's integer column."""
+    if column.itemsize != 4:
+        raise GraphError(f"array('{column.typecode}') items are not 4-byte uint32s")
+    if _BYTESWAP:
+        column = array(column.typecode, column)
+        column.byteswap()
+    return b2a_base64(column, newline=False).decode("ascii")
+
+
+def _unpacked(text: str, name: str) -> array:
+    """The ``array('I')`` a :func:`_packed` string spells; raises
+    :class:`GraphError` unless ``text`` is canonical base64 of whole
+    uint32s."""
+    try:
+        raw = a2b_base64(text)
+    except (Base64Error, ValueError):
+        raise GraphError(f"{name} is not a base64 packed column") from None
+    # The decoder skips characters outside the alphabet; the writer's
+    # spelling is the only one accepted.
+    if b2a_base64(raw, newline=False) != text.encode("ascii"):
+        raise GraphError(f"{name} is not a base64 packed column")
+    if len(raw) % 4:
+        raise GraphError(f"{name} holds {len(raw)} bytes, not whole uint32s")
+    column = array("I")
+    if column.itemsize != 4:
+        raise GraphError("array('I') items are not 4-byte uint32s on this platform")
+    column.frombytes(raw)
+    if _BYTESWAP:
+        column.byteswap()
+    return column
 
 
 # ----------------------------------------------------------------------
 # The durable update log (JSONL; format spec in docs/update-log.md)
 # ----------------------------------------------------------------------
 
-#: Version stamp carried by every update-log line.
-UPDATE_LOG_FORMAT = 1
+#: Version stamp the writer puts on every update-log line.  Format 2
+#: packs a checkpoint's integer columns (:func:`_packed`); format 1
+#: spelled them as JSON lists.  Update records are the same in both.
+UPDATE_LOG_FORMAT = 2
+
+#: The formats the readers accept, record by record: a format-1 log
+#: reopened by this writer continues in format 2.
+_READABLE_FORMATS = (1, 2)
 
 
 def update_to_dict(update: GraphUpdate) -> dict[str, Any]:
@@ -182,9 +241,9 @@ def update_from_dict(data: dict[str, Any]) -> GraphUpdate:
 
 
 def _checkpoint_arrays(g: Graph) -> dict[str, Any]:
-    """Flat-array encoding with integer columns spelled as JSON lists."""
+    """Flat-array encoding with the integer columns packed."""
     pool, *columns = g.to_columns()
-    return dict(zip(("pool", *_ARRAY_COLUMNS), [pool, *map(array.tolist, columns)]))
+    return dict(zip(("pool", *_ARRAY_COLUMNS), [pool, *map(_packed, columns)]))
 
 
 def _last_line_start(handle: Any, size: int) -> int:
@@ -312,21 +371,39 @@ class UpdateLogWriter:
         only record was torn and truncated away."""
         return os.fstat(self._file.fileno()).st_size == 0
 
-    def _write(self, record: dict[str, Any]) -> None:
-        self._file.write(json.dumps(record, sort_keys=True) + "\n")
+    def _write(self, line: str) -> None:
+        self._file.write(line + "\n")
         self._file.flush()
+
+    def _write_checkpoint(self, graph: Graph) -> None:
+        """Write a checkpoint record of ``graph`` at the current seq.
+
+        The record is built and dumped with the cyclic collector paused
+        (its previous state restored after): the encoder allocates tens
+        of thousands of tuples and lists and no cycle, so the collections
+        they would set off find nothing.
+        """
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            line = json.dumps(
+                {
+                    "format": UPDATE_LOG_FORMAT,
+                    "type": "checkpoint",
+                    "seq": self.seq,
+                    "arrays": _checkpoint_arrays(graph),
+                },
+                sort_keys=True,
+            )
+        finally:
+            if collecting:
+                gc.enable()
+        self._write(line)
 
     def write_base(self, graph: Graph) -> None:
         """Record the base graph as a seq-0 checkpoint (optional; a log
         without one replays against a caller-supplied base graph)."""
-        self._write(
-            {
-                "format": UPDATE_LOG_FORMAT,
-                "type": "checkpoint",
-                "seq": self.seq,
-                "arrays": _checkpoint_arrays(graph),
-            }
-        )
+        self._write_checkpoint(graph)
 
     def append(self, update: GraphUpdate, graph: Graph | None = None) -> int:
         """Append one batch; returns its sequence number.
@@ -337,12 +414,15 @@ class UpdateLogWriter:
         """
         self.seq += 1
         self._write(
-            {
-                "format": UPDATE_LOG_FORMAT,
-                "type": "update",
-                "seq": self.seq,
-                "update": update_to_dict(update),
-            }
+            json.dumps(
+                {
+                    "format": UPDATE_LOG_FORMAT,
+                    "type": "update",
+                    "seq": self.seq,
+                    "update": update_to_dict(update),
+                },
+                sort_keys=True,
+            )
         )
         if (
             self.checkpoint_every is not None
@@ -354,14 +434,7 @@ class UpdateLogWriter:
 
     def checkpoint(self, graph: Graph) -> None:
         """Write a checkpoint of ``graph`` at the current seq."""
-        self._write(
-            {
-                "format": UPDATE_LOG_FORMAT,
-                "type": "checkpoint",
-                "seq": self.seq,
-                "arrays": _checkpoint_arrays(graph),
-            }
-        )
+        self._write_checkpoint(graph)
 
     def close(self) -> None:
         self._file.close()
@@ -399,10 +472,12 @@ def scan_update_log(path: str | Path) -> Iterator[dict[str, Any]]:
                 raise GraphError(f"{path}:{line_no}: not valid JSON ({exc})") from None
             if not isinstance(record, dict) or "type" not in record or "seq" not in record:
                 raise GraphError(f"{path}:{line_no}: malformed update-log record")
-            if record.get("format") != UPDATE_LOG_FORMAT:
+            stamp = record.get("format")
+            if type(stamp) is not int or stamp not in _READABLE_FORMATS:
                 raise GraphError(
                     f"{path}:{line_no}: unsupported update-log format "
-                    f"{record.get('format')!r} (this reader speaks {UPDATE_LOG_FORMAT})"
+                    f"{stamp!r} (this reader speaks "
+                    f"{' and '.join(map(str, _READABLE_FORMATS))})"
                 )
             if record["type"] not in ("update", "checkpoint"):
                 raise GraphError(

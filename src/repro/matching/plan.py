@@ -13,8 +13,10 @@ that work into three reusable layers:
 * a **pattern program** — the binding order ranked from the effective
   pool sizes and the step list for that order (scan / extend-forward /
   extend-backward / edge-check / self-loop-check), memoized per
-  ``(pattern, effective pool sizes)`` (:func:`_pool_program`) since
-  patterns are immutable and shared across dependencies;
+  ``(pattern, dense ranking of the effective pool sizes)``
+  (:func:`_pool_program`) since patterns are immutable and shared
+  across dependencies, and the ranking reads the sizes only through
+  comparisons;
 * an **iterative executor** (:func:`_execute`) — an explicit-stack
   enumerator whose per-depth candidates come from intersecting the
   variable's pool with the adjacency rows of already-bound neighbors
@@ -407,22 +409,39 @@ def _adjacency_rows(graph: Graph):
     return row_set
 
 
+def _size_ranks(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """The dense ranking of ``sizes``, ties kept: ``(40, 7, 40, 3)``
+    ranks ``(2, 1, 2, 0)``.  :func:`order_for_sizes` compares sizes and
+    never reads them otherwise, so ranks order the variables exactly as
+    the sizes do."""
+    distinct = sorted(set(sizes))
+    return tuple(map(distinct.index, sizes))
+
+
+def _program(
+    pattern: Pattern, pools: Mapping[str, "AbstractSet[str]"]
+) -> tuple[tuple[str, ...], tuple[PlanStep, ...], tuple[str, ...]]:
+    """:func:`_pool_program` for ``pools``, keyed in
+    ``pattern.variables`` order."""
+    return _pool_program(pattern, _size_ranks(tuple(map(len, pools.values()))))
+
+
 @lru_cache(maxsize=512)
 def _pool_program(
-    pattern: Pattern, sizes: tuple[int, ...]
+    pattern: Pattern, ranks: tuple[int, ...]
 ) -> tuple[tuple[str, ...], tuple[PlanStep, ...], tuple[str, ...]]:
     """The binding order, step list and scanned variables for one
-    ``(pattern, effective pool sizes)`` — ``sizes`` in
-    ``pattern.variables`` order.
+    ``(pattern, size ranks)`` — ``ranks`` the :func:`_size_ranks` of
+    the effective pool sizes, in ``pattern.variables`` order.
 
-    The order is a pure function of the sizes, so a caller that runs
-    the same pattern over pools of the same sizes many times (the shard
-    kernel: one call per shard) ranks the variables once instead of
-    once per call.  The streaming delta kernel's pin sets and label
-    rows change size from batch to batch, so its entries mostly serve
-    one run; the small bound lets the stale ones age out.
+    The order is a pure function of how the sizes compare, so the memo
+    keys on their ranking, not their values: the streaming delta
+    kernel's label rows change size every batch but rarely change
+    order, so its runs hit the memo as the shard kernel's same-sized
+    pools do.  The memo holds at most one entry per weak ordering of a
+    pattern's variables (13 for three variables, 75 for four).
     """
-    order = tuple(order_for_sizes(pattern, dict(zip(pattern.variables, sizes))))
+    order = tuple(order_for_sizes(pattern, dict(zip(pattern.variables, ranks))))
     steps = _steps_for(pattern, order)
     return order, steps, tuple(step.variable for step in steps if not step.checks)
 
@@ -489,7 +508,7 @@ def execute_over_pools(
     if pools is None:
         return  # The pinned node can never host this variable.
     # ``pools`` is keyed in ``pattern.variables`` order.
-    order, steps, scanned = _pool_program(pattern, tuple(map(len, pools.values())))
+    order, steps, scanned = _program(pattern, pools)
     pools_sorted = {variable: sorted(pools[variable]) for variable in scanned}
     sink = _metrics.sink()
     if not sink.enabled:
@@ -511,7 +530,7 @@ def count_over_pools(
     stream, counted over the same frames without building a match or
     sorting a pool (:func:`_count_frames`)."""
     pools = {variable: candidates[variable] for variable in pattern.variables}
-    order, steps, _ = _pool_program(pattern, tuple(map(len, pools.values())))
+    order, steps, _ = _program(pattern, pools)
     observer = _ExecObserver() if _metrics.sink().enabled else None
     run = _execute(order, steps, pools, pools, _adjacency_rows(graph), None, observer, count=True)
     try:
@@ -540,7 +559,7 @@ def explain_pools(
     the ``est. ~X/frame`` estimate), and adjacency rows probed.
     """
     pools = _effective_pools(pattern, graph, candidates, None, restrict)
-    _, steps, _ = _pool_program(pattern, tuple(map(len, pools.values())))
+    _, steps, _ = _program(pattern, pools)
     profile = matching_cost_profile(graph)
     lines = [
         f"match plan for Q[{', '.join(pattern.variables)}] — "

@@ -26,6 +26,7 @@ from repro.workloads import (
     validation_workload,
 )
 from repro.workloads.churn import _ChurnGenerator
+from tests.packed_columns import INTEGER_COLUMNS, as_lists, integers
 
 
 def tricky_graph() -> Graph:
@@ -79,16 +80,17 @@ def decode_per_element(data) -> Graph:
     """The reference decoder: one Graph call per node, attribute and
     edge row, each validating and bumping the version."""
     pool = data["pool"]
+    column = {name: integers(data[name]) for name in INTEGER_COLUMNS}
     graph = Graph()
     ids = []
-    for id_slot, label_slot in zip(data["node_ids"], data["node_labels"]):
+    for id_slot, label_slot in zip(column["node_ids"], column["node_labels"]):
         ids.append(pool[id_slot])
         graph.add_node(pool[id_slot], pool[label_slot])
     for position, name_slot, value_slot in zip(
-        data["attr_node"], data["attr_name"], data["attr_value"]
+        column["attr_node"], column["attr_name"], column["attr_value"]
     ):
         graph.set_attribute(ids[position], pool[name_slot], pool[value_slot])
-    for src, label_slot, dst in zip(data["edge_src"], data["edge_label"], data["edge_dst"]):
+    for src, label_slot, dst in zip(column["edge_src"], column["edge_label"], column["edge_dst"]):
         graph.add_edge(ids[src], pool[label_slot], ids[dst])
     return graph
 
@@ -149,11 +151,14 @@ def churned(graph: Graph, attribute_names: list[str], seed: int) -> Graph:
 
 class TestBulkDecode:
     """``graph_from_arrays`` builds in bulk what the per-element decoder
-    built one call at a time, from both of its inputs: the snapshot's
-    ``array('I')`` columns and a checkpoint's JSON lists."""
+    built one call at a time, from each of its inputs: the snapshot's
+    ``array('I')`` columns, a format-2 checkpoint's packed columns and
+    a format-1 checkpoint's JSON lists."""
 
     def payloads(self, graph: Graph, tmp_path) -> list:
-        return [graph_to_arrays(graph), checkpoint_payload(graph, tmp_path)]
+        packed = checkpoint_payload(graph, tmp_path)
+        assert all(isinstance(packed[name], str) for name in INTEGER_COLUMNS)
+        return [graph_to_arrays(graph), packed, as_lists(packed)]
 
     @pytest.mark.parametrize(
         "workload",
@@ -279,7 +284,10 @@ class TestEncoderProperties:
     @given(OPS)
     def test_decode_keeps_tables_and_orders(self, ops):
         source = build(ops)
-        for data in (graph_to_arrays(source), json.loads(checkpoint_bytes(source))["arrays"]):
+        record = json.loads(checkpoint_bytes(source))
+        assert record["format"] == 2
+        packed = record["arrays"]
+        for data in (graph_to_arrays(source), packed, as_lists(packed)):
             decoded = graph_from_arrays(data)
             assert_same_tables(decoded, source, decode_per_element(data))
             assert list(decoded._edges) == list(source._edges)
@@ -289,16 +297,20 @@ class TestEncoderProperties:
     @given(OPS)
     def test_pool_holds_each_typed_value_once(self, ops):
         source = build(ops)
-        pool = graph_to_arrays(source)["pool"]
+        arrays = graph_to_arrays(source)
+        pool = arrays["pool"]
+        assert list(arrays["node_ids"]) == list(range(source.num_nodes))
         hashable = [(type(v), v) for v in pool if not isinstance(v, list)]
         assert len(hashable) == len(set(hashable))
         unhashable = [v for node in source.nodes for v in node.attributes.values()
                       if isinstance(v, list)]
         assert len(pool) - len(hashable) == len(unhashable)
-        strings = {node.label for node in source.nodes} | {
+        ids = source.node_ids
+        assert pool[: len(ids)] == ids
+        strings = ({node.label for node in source.nodes} | {
             name for node in source.nodes for name in node.attributes
-        } | source.edge_labels
-        assert set(pool[: len(strings)]) == strings
+        } | source.edge_labels) - set(ids)
+        assert set(pool[len(ids): len(ids) + len(strings)]) == strings
 
     def test_checkpoint_bytes_ignore_hash_seed(self):
         """Two interpreters with different string hashing write the

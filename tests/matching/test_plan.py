@@ -8,6 +8,8 @@ kernel leans on.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import pool as engine_pool
 from repro.engine.snapshot import snapshot_graph
@@ -16,11 +18,13 @@ from repro.graph import GraphBuilder
 from repro.indexing import attach_index, detach_index
 from repro.matching import count_matches, find_homomorphisms, seed_find_homomorphisms
 from repro.matching import plan as plan_module
+from repro.matching.candidates import order_for_sizes
 from repro.matching.plan import compile_sigma, explain_pools, program_cache_info
 from repro.matching.view import get_view, peek_view, release_view
 from repro.patterns import WILDCARD, Pattern
+from repro.streaming import ViolationLedger
 from repro.telemetry import metrics
-from repro.workloads import bounded_rule_set, validation_workload
+from repro.workloads import bounded_rule_set, churn_stream, validation_workload
 
 
 def diamond_graph():
@@ -239,6 +243,49 @@ class TestProgramCache:
         after = program_cache_info()
         assert after.misses == primed.misses  # second sweep compiled nothing new
         assert after.hits > primed.hits
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_size_ranks_order_as_the_sizes_do(self, data):
+        k = data.draw(st.integers(min_value=1, max_value=4))
+        variables = [f"x{i}" for i in range(k)]
+        edges = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(variables), st.sampled_from(["r", "s"]),
+                          st.sampled_from(variables)),
+                max_size=4,
+            )
+        )
+        pattern = Pattern({v: "a" for v in variables}, edges)
+        # Few distinct sizes, so ties are common.
+        sizes = tuple(data.draw(st.lists(st.sampled_from([0, 1, 2, 7, 40, 10**6]),
+                                         min_size=k, max_size=k)))
+        ranks = plan_module._size_ranks(sizes)
+        for i in range(k):
+            for j in range(k):
+                assert (sizes[i] < sizes[j]) == (ranks[i] < ranks[j])
+                assert (sizes[i] == sizes[j]) == (ranks[i] == ranks[j])
+        assert set(ranks) == set(range(len(set(sizes))))
+        raw = order_for_sizes(pattern, dict(zip(variables, sizes)))
+        assert order_for_sizes(pattern, dict(zip(variables, ranks))) == raw
+        assert plan_module._pool_program(pattern, ranks)[0] == tuple(raw)
+
+    def test_delta_kernel_misses_once_per_ranking(self):
+        """Over a replayed churn stream the label rows change size every
+        batch; keyed by their ranking, the memo misses at most once per
+        weak ordering of each pattern's variables, however long the
+        stream."""
+        stream = churn_stream(n_nodes=300, batches=80, rng=5)
+        ledger = ViolationLedger(stream.base.copy(), stream.sigma)
+        ledger.bootstrap()
+        plan_module._pool_program.cache_clear()
+        for update in stream.updates:
+            ledger.refresh(update)
+        info = program_cache_info()
+        orderings = {1: 1, 2: 3, 3: 13, 4: 75}  # weak orderings of k variables
+        bound = sum(orderings[len(p.variables)] for p in {rule.pattern for rule in stream.sigma})
+        assert info.misses <= bound
+        assert info.hits >= 10 * info.misses
 
 
 class TestDegreeAccessors:

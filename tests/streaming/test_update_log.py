@@ -1,6 +1,10 @@
 """The durable update log: JSONL round trips, checkpoints, replay."""
 
+import base64
 import json
+import pathlib
+import re
+import shutil
 
 import pytest
 
@@ -20,6 +24,7 @@ from repro.graph.update import GraphUpdate
 from repro.indexing import attach_index, get_index
 from repro.indexing.maintenance import apply_update_indexed
 from repro.workloads import churn_stream
+from tests.packed_columns import as_lists, integers, pack, respell
 
 
 def sample_update():
@@ -208,6 +213,15 @@ class TestLogFormat:
         with pytest.raises(GraphError, match=":1:"):
             list(read_update_log(path))
 
+    @pytest.mark.parametrize("stamp", [0, 3, "2", 2.0, True, None])
+    def test_only_formats_1_and_2_are_read(self, tmp_path, stamp):
+        path = tmp_path / "log.jsonl"
+        records = [{"format": version, "type": "update", "seq": seq, "update": {}}
+                   for seq, version in enumerate([1, 2, stamp], start=1)]
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        with pytest.raises(GraphError, match=":3: unsupported update-log format"):
+            list(read_update_log(path))
+
     def test_unknown_record_type_rejected(self, tmp_path):
         path = tmp_path / "log.jsonl"
         path.write_text(json.dumps({"format": 1, "type": "mystery", "seq": 1}) + "\n")
@@ -279,6 +293,44 @@ class TestLogFormat:
             update_from_dict(payload)
 
 
+class TestCheckpointCollector:
+    """The writer builds and dumps a checkpoint with the cyclic collector
+    paused, and leaves the collector as it found it, after an error
+    too."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_paused_while_encoding_and_restored(self, tmp_path, monkeypatch, enabled):
+        import gc
+
+        from repro.graph import GraphBuilder
+        from repro.graph import io as graph_io
+
+        seen = []
+        encode = graph_io._checkpoint_arrays
+
+        def spy(graph):
+            seen.append(gc.isenabled())
+            return encode(graph)
+
+        monkeypatch.setattr(graph_io, "_checkpoint_arrays", spy)
+        graph = GraphBuilder().node("a", "L", {"x": 1}).build()
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with UpdateLogWriter(tmp_path / "log.jsonl") as writer:
+                writer.write_base(graph)
+                writer.checkpoint(graph)
+                after = gc.isenabled()
+                graph.set_attribute("a", "y", object())  # not JSON-representable
+                with pytest.raises(TypeError):
+                    writer.checkpoint(graph)
+                after_error = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False, False, False]
+        assert after is after_error is enabled
+
+
 class TestTornTail:
     """A final line that lacks its newline and does not parse is a torn
     write: readers stop before it, and a writer truncates it (counting
@@ -319,10 +371,8 @@ class TestTornTail:
 
 class TestDocumentedCheckpoint:
     def test_example_is_the_writers_record(self, tmp_path):
-        """docs/update-log.md §1.2 shows what the writer writes."""
-        import pathlib
-        import re
-
+        """docs/update-log.md §1.2 shows what the writer writes, and its
+        table unpacks the example's columns."""
         from repro.graph import GraphBuilder
 
         graph = (
@@ -340,83 +390,268 @@ class TestDocumentedCheckpoint:
         doc = (pathlib.Path(__file__).parents[2] / "docs" / "update-log.md").read_text()
         section = doc[doc.index("### 1.2"):doc.index("### 1.3")]
         (block,) = re.findall(r"```json\n(.*?)```", section, re.S)
-        assert json.loads(block) == json.loads(path.read_text())
+        record = json.loads(path.read_text())
+        assert json.loads(block) == record
+        table = dict(re.findall(r"^\| `(\w+)` \| `(\[[\d, ]*\])` \|$", section, re.M))
+        assert {name: json.loads(entries) for name, entries in table.items()} == {
+            name: integers(column) for name, column in record["arrays"].items() if name != "pool"
+        }
+
+
+#: A format-1 log (integer columns spelled as JSON lists), written by the
+#: format-1 writer: a 40-node churn stream of 12 batches, checkpointed at
+#: seq 0, 5 and 10, whose seventh batch writes float, bool, list and
+#: id-valued attributes.  ``replayed.json`` is the graph the format-1
+#: code replayed from it (nodes, attributes and edges in table order),
+#: and ``stream.ndjson`` its ``cli stream`` output without the
+#: ``wall_seconds`` timings.
+FORMAT1 = pathlib.Path(__file__).parent / "format1"
+
+
+def typed_state(nodes, edges) -> tuple[list, list]:
+    """Nodes with typed attributes, and edges, in table order."""
+    return (
+        [(node_id, label, [(name, type(value), value) for name, value in attrs])
+         for node_id, label, attrs in nodes],
+        [tuple(edge) for edge in edges],
+    )
+
+
+def graph_state(graph: Graph) -> tuple[list, list]:
+    return typed_state(
+        ((node.id, node.label, node.attributes.items()) for node in graph.nodes), graph._edges
+    )
+
+
+def stream_lines(text: str) -> list[dict]:
+    """``cli stream`` output lines, without their timings."""
+    lines = [json.loads(line) for line in text.splitlines()]
+    for line in lines:
+        line.pop("wall_seconds", None)
+    return lines
+
+
+class TestFormat1Log:
+    """Logs already on disk in format 1 still replay, to the same graph
+    and the same ``cli stream`` output, and a writer reopening one
+    continues it in format 2."""
+
+    def recorded_state(self):
+        recorded = json.loads((FORMAT1 / "replayed.json").read_text())
+        return typed_state(recorded["nodes"], recorded["edges"])
+
+    def test_fixture_is_format_1(self):
+        records = list(scan_update_log(FORMAT1 / "log.jsonl"))
+        assert {record["format"] for record in records} == {1}
+        checkpoints = [record for record in records if record["type"] == "checkpoint"]
+        assert [record["seq"] for record in checkpoints] == [0, 5, 10]
+        assert all(isinstance(column, list)
+                   for record in checkpoints for column in record["arrays"].values())
+
+    def test_replays_to_the_recorded_graph(self):
+        result = replay_update_log(FORMAT1 / "log.jsonl")
+        assert (result.resumed_from, result.last_seq, result.applied) == (10, 12, 2)
+        assert graph_state(result.graph) == self.recorded_state()
+        (base, *_) = scan_update_log(FORMAT1 / "log.jsonl")
+        from_base = replay_update_log(
+            FORMAT1 / "log.jsonl", graph_from_arrays(base["arrays"]), use_checkpoints=False
+        )
+        assert from_base.applied == 12
+        assert from_base.graph == result.graph
+
+    def test_cli_stream_output_is_unchanged(self, capsys):
+        from repro.cli import main
+
+        argv = ["stream", "--log", str(FORMAT1 / "log.jsonl"),
+                "--rules", str(FORMAT1 / "rules.json")]
+        assert main(argv) == 1  # violations remain
+        assert stream_lines(capsys.readouterr().out) == stream_lines(
+            (FORMAT1 / "stream.ndjson").read_text()
+        )
+
+    def test_reopened_log_continues_in_format_2(self, tmp_path, capsys):
+        path = tmp_path / "log.jsonl"
+        shutil.copyfile(FORMAT1 / "log.jsonl", path)
+        graph = replay_update_log(path).graph
+        more = [
+            GraphUpdate(attrs=[("t1", "score", 2.5)], del_edges=[next(iter(graph._edges))]),
+            GraphUpdate(nodes=[("t2", "item", {"alias": "t1", "region": 2})],
+                        edges=[("t1", "buys", "t2")]),
+        ]
+        with UpdateLogWriter(path) as writer:
+            assert writer.seq == 12
+            for update in more:
+                writer.append(update)
+                apply_update_indexed(graph, update)
+            # The latest checkpoint is still format 1; the tail mixes formats.
+            assert replay_update_log(path).graph == graph
+            assert graph_state(replay_update_log(path).graph) == graph_state(graph)
+            writer.checkpoint(graph)
+        records = list(scan_update_log(path))
+        assert [record["format"] for record in records[-3:]] == [2, 2, 2]
+        assert {record["format"] for record in records[:-3]} == {1}
+        result = replay_update_log(path)
+        assert (result.resumed_from, result.applied) == (14, 0)
+        assert graph_state(result.graph) == graph_state(graph)
+        # The graph recovered from the format-1 checkpoint re-encodes as
+        # the writer encodes the same graph built afresh.
+        fresh = tmp_path / "fresh.jsonl"
+        with UpdateLogWriter(fresh, seq=14) as writer:
+            writer.checkpoint(result.graph)
+        assert path.read_bytes().splitlines()[-1] == fresh.read_bytes().strip()
+        # cli stream reads the mixed log from its format-1 base.
+        from repro.cli import main
+
+        main(["stream", "--log", str(path), "--rules", str(FORMAT1 / "rules.json")])
+        lines = stream_lines(capsys.readouterr().out)
+        recorded = stream_lines((FORMAT1 / "stream.ndjson").read_text())
+        assert lines[:13] == recorded[:13]
+        assert [line["log_seq"] for line in lines[13:-1]] == [13, 14]
+        assert lines[-1]["batches"] == 14
+
+
+def malformed_base_checkpoint(tmp_path) -> dict:
+    """The arrays of a real checkpoint of a -r-> b plus an isolated c."""
+    from repro.graph import GraphBuilder
+
+    graph = (
+        GraphBuilder()
+        .node("a", "L", {"x": 1})
+        .node("b", "L")
+        .node("c", "L")
+        .edge("a", "r", "b")
+        .build()
+    )
+    path = tmp_path / "base.jsonl"
+    with UpdateLogWriter(path) as writer:
+        writer.write_base(graph)
+    (record,) = scan_update_log(path)
+    return record["arrays"]
 
 
 class TestMalformedCheckpoint:
     """A checkpoint whose columns do not fit together raises GraphError
-    instead of decoding to a different graph (docs/update-log.md §1.2)."""
+    instead of decoding to a different graph (docs/update-log.md §1.2).
+    Here the integer columns are packed, as the writer spells them;
+    :class:`TestMalformedFormat1Checkpoint` runs the same cases on
+    format-1 JSON lists."""
 
-    def checkpoint(self, tmp_path):
-        """The arrays of a real checkpoint of a -r-> b plus an isolated c."""
-        from repro.graph import GraphBuilder
+    @pytest.fixture
+    def arrays(self, tmp_path):
+        return malformed_base_checkpoint(tmp_path)
 
-        graph = (
-            GraphBuilder()
-            .node("a", "L", {"x": 1})
-            .node("b", "L")
-            .node("c", "L")
-            .edge("a", "r", "b")
-            .build()
-        )
-        path = tmp_path / "base.jsonl"
-        with UpdateLogWriter(path) as writer:
-            writer.write_base(graph)
-        (record,) = scan_update_log(path)
-        return record["arrays"]
-
-    def test_well_formed_checkpoint_decodes(self, tmp_path):
-        graph = graph_from_arrays(self.checkpoint(tmp_path))
+    def test_well_formed_checkpoint_decodes(self, arrays):
+        graph = graph_from_arrays(arrays)
         assert graph.node_ids == ["a", "b", "c"]
         assert graph.edges == {("a", "r", "b")}
 
-    def test_short_label_column_refused(self, tmp_path):
-        arrays = self.checkpoint(tmp_path)
-        arrays["node_labels"].pop()
+    def test_short_label_column_refused(self, arrays):
+        respell(arrays, "node_labels", integers(arrays["node_labels"])[:-1])
         with pytest.raises(GraphError, match="node_ids and node_labels differ"):
             graph_from_arrays(arrays)
 
-    def test_empty_edge_label_column_refused(self, tmp_path):
-        arrays = self.checkpoint(tmp_path)
-        arrays["edge_label"] = []
+    def test_empty_edge_label_column_refused(self, arrays):
+        respell(arrays, "edge_label", [])
         with pytest.raises(GraphError, match="edge_src, edge_label and edge_dst differ"):
             graph_from_arrays(arrays)
 
-    def test_negative_position_refused(self, tmp_path):
-        arrays = self.checkpoint(tmp_path)
-        arrays["edge_dst"] = [-1]  # would wrap to the last node, c
+    def test_negative_position_refused(self, arrays):
+        # A list may hold -1, which would wrap to the last node, c; a
+        # packed column holds it as the uint32 2**32 - 1.
+        respell(arrays, "edge_dst", [-1] if isinstance(arrays["edge_dst"], list) else [2**32 - 1])
         with pytest.raises(GraphError, match="edge_dst holds an index outside range"):
             graph_from_arrays(arrays)
 
-    def test_position_past_the_nodes_refused(self, tmp_path):
-        arrays = self.checkpoint(tmp_path)
-        arrays["edge_dst"] = [99]
+    def test_position_past_the_nodes_refused(self, arrays):
+        respell(arrays, "edge_dst", [99])
         with pytest.raises(GraphError, match="edge_dst holds an index outside range"):
             graph_from_arrays(arrays)
 
     @pytest.mark.parametrize("column", ["pool", "node_ids", "attr_value", "edge_dst"])
-    def test_missing_column_refused(self, tmp_path, column):
-        arrays = self.checkpoint(tmp_path)
+    def test_missing_column_refused(self, arrays, column):
         del arrays[column]
         with pytest.raises(GraphError, match="needs a pool list and the integer columns"):
             graph_from_arrays(arrays)
 
-    def test_non_list_column_refused(self, tmp_path):
-        arrays = self.checkpoint(tmp_path)
-        arrays["edge_src"] = "0"
+    def test_non_list_column_refused(self, arrays):
+        arrays["edge_src"] = 0
         with pytest.raises(GraphError, match="needs a pool list"):
             graph_from_arrays(arrays)
         with pytest.raises(GraphError, match="needs a pool list"):
             graph_from_arrays(["not", "a", "mapping"])
+        with pytest.raises(GraphError, match="needs a pool list"):
+            graph_from_arrays({**arrays, "edge_src": [0], "pool": "abc"})
 
-    def test_replay_refuses_malformed_checkpoint(self, tmp_path):
-        arrays = self.checkpoint(tmp_path)
-        arrays["edge_dst"] = [-1]
+    def test_replay_refuses_malformed_checkpoint(self, arrays, tmp_path):
+        respell(arrays, "edge_dst", [99])
         path = tmp_path / "log.jsonl"
-        record = {"format": UPDATE_LOG_FORMAT, "type": "checkpoint", "seq": 0, "arrays": arrays}
+        stamp = 2 if isinstance(arrays["node_ids"], str) else 1
+        record = {"format": stamp, "type": "checkpoint", "seq": 0, "arrays": arrays}
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(GraphError, match="edge_dst"):
             replay_update_log(path)
+
+
+class TestMalformedFormat1Checkpoint(TestMalformedCheckpoint):
+    """The same refusals when the integer columns are JSON lists, as a
+    format-1 checkpoint spells them."""
+
+    @pytest.fixture
+    def arrays(self, tmp_path):
+        return as_lists(malformed_base_checkpoint(tmp_path))
+
+
+class TestMalformedPackedColumn:
+    """A packed column that is not base64 of whole uint32s, or that
+    holds a slot outside the pool, raises GraphError, and ``cli serve``
+    on a log whose checkpoint holds one exits 2."""
+
+    #: Packed columns that are not the writer's base64: a stray
+    #: character count, a character outside the alphabet, whitespace the
+    #: lenient decoder would skip, excess padding, and non-ASCII text.
+    BAD_BASE64 = ["AAAAA", "AA!A", "AAAA AAAA", "AAAA=", "AAAé"]
+
+    @pytest.mark.parametrize("text", BAD_BASE64)
+    def test_bad_base64_refused(self, tmp_path, text):
+        arrays = malformed_base_checkpoint(tmp_path)
+        arrays["attr_value"] = text
+        with pytest.raises(GraphError, match="attr_value is not a base64 packed column"):
+            graph_from_arrays(arrays)
+
+    def test_partial_uint32_refused(self, tmp_path):
+        arrays = malformed_base_checkpoint(tmp_path)
+        arrays["edge_dst"] = base64.b64encode(bytes(6)).decode("ascii")
+        with pytest.raises(GraphError, match="edge_dst holds 6 bytes, not whole uint32s"):
+            graph_from_arrays(arrays)
+
+    def test_out_of_range_packed_slot_refused(self, tmp_path):
+        arrays = malformed_base_checkpoint(tmp_path)
+        for slot in (len(arrays["pool"]), 2**32 - 1):  # past the pool; -1 as a uint32
+            respell(arrays, "attr_value", [slot])
+            with pytest.raises(GraphError, match="attr_value holds an index outside range"):
+                graph_from_arrays(arrays)
+
+    @pytest.mark.parametrize(
+        "column, text",
+        [
+            ("attr_value", "AA!A"),
+            ("edge_dst", base64.b64encode(bytes(6)).decode("ascii")),
+            ("edge_label", pack([2**32 - 1])),
+        ],
+        ids=["bad-base64", "partial-uint32", "out-of-range-slot"],
+    )
+    def test_serve_exits_2_on_a_malformed_packed_column(self, tmp_path, capsys, column, text):
+        from repro.cli import main
+
+        arrays = malformed_base_checkpoint(tmp_path)
+        arrays[column] = text
+        path = tmp_path / "log.jsonl"
+        record = {"format": 2, "type": "checkpoint", "seq": 0, "arrays": arrays}
+        path.write_text(json.dumps(record) + "\n")
+        rules = tmp_path / "rules.json"
+        rules.write_text("[]")
+        assert main(["serve", "--log", str(path), "--rules", str(rules)]) == 2
+        assert column in capsys.readouterr().err
 
 
 class TestRecordSeq:

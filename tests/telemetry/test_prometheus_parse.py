@@ -10,6 +10,7 @@ parser is stdlib-only and intentionally minimal: exactly the subset
 """
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -162,10 +163,9 @@ class TestCliStatsExposition:
             capture_output=True,
             text=True,
             cwd=REPO_ROOT,
-            env={
-                "PYTHONPATH": str(REPO_ROOT / "src"),
-                "PATH": "/usr/bin:/bin",
-            },
+            # The caller's environment, so PYTHONDONTWRITEBYTECODE and
+            # the like hold in the child too.
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
             timeout=120,
         )
         assert result.returncode == 1, result.stderr  # dirty fixture

@@ -150,3 +150,27 @@ def test_seconds_default_to_the_benchmark_run_length(tmp_path, monkeypatch):
     benchmark = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     ((_, _, _, _, seconds, _, _, _),) = ran
     assert seconds == benchmark["run_seconds"]
+
+
+def test_a_tree_holding_bytecode_is_named(tmp_path, monkeypatch, capsys):
+    """Byte-code under src/ makes a tree's servers start faster, so a
+    run of pairs names each tree that holds any."""
+    monkeypatch.setattr(bench_pairs, "run_pairs", lambda *args: None)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree in (parent, change):
+        (tree / "src" / "pkg").mkdir(parents=True)
+        (tree / "src" / "pkg" / "mod.py").write_text("")
+        (tree / "BENCHMARK.json").write_text((REPO_ROOT / "BENCHMARK.json").read_text())
+    cache = change / "src" / "pkg" / "__pycache__"
+    cache.mkdir()
+    (cache / "mod.cpython-311.pyc").write_bytes(b"")
+    out = tmp_path / "pairs.jsonl"
+    out.write_text("")
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "w",
+            "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    err = capsys.readouterr().err
+    assert f"the change tree {change} holds 1 .pyc file(s) under src/" in err
+    assert "parent tree" not in err
+    assert bench_pairs.main(argv + ["--summarize-only"]) == 0
+    assert ".pyc" not in capsys.readouterr().err  # nothing runs, nothing to warn about

@@ -31,6 +31,12 @@ metric's direction and bound come from the change tree's
 * ``WORSE`` — the change's median is worse than the parent's by more
   than the metric's bound (a fraction of the parent's median).
 
+Before running, a tree holding ``.pyc`` files under ``src/`` is named
+on stderr: it imports its modules from byte-code, so its servers start
+faster than a tree without any, which skews ``setup_s`` and
+``first_report_s``.  Give both trees the same byte-code state; with
+``PYTHONDONTWRITEBYTECODE=1`` set, the runs themselves write none.
+
 Exit 1 when any run was not correct (``correct`` false, ``failed`` > 0,
 a non-zero exit or no JSON line), 2 when the rows cannot be paired,
 else 0.
@@ -66,6 +72,19 @@ def metric_specs(benchmark: dict) -> dict[str, dict]:
     for entry in benchmark.get("end_to_end", []) + benchmark.get("per_layer", []):
         specs[entry["name"]] = entry
     return specs
+
+
+def bytecode_warnings(trees: dict[str, Path]) -> list[str]:
+    """One warning per tree holding ``.pyc`` files under ``src/``."""
+    warnings = []
+    for side, tree in trees.items():
+        found = sum(1 for _ in (tree / "src").rglob("*.pyc"))
+        if found:
+            warnings.append(
+                f"warning: the {side} tree {tree} holds {found} .pyc file(s) under src/; "
+                "its servers start faster than a tree without byte-code"
+            )
+    return warnings
 
 
 def run_once(tree: Path, command: list[str], args: list[str]) -> tuple[int, dict | None]:
@@ -223,6 +242,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.seconds is None:
         args.seconds = float(benchmark["run_seconds"])
     if not args.summarize_only:
+        for warning in bytecode_warnings({"parent": args.parent, "change": args.change}):
+            print(warning, file=sys.stderr)
         run_pairs(args.parent, args.change, args.workload, args.seeds, args.seconds,
                   args.trace, args.out, benchmark["command"])
     rows = [json.loads(line) for line in args.out.read_text().splitlines() if line.strip()]
